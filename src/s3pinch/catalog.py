@@ -12,25 +12,19 @@ sphere gets normal curvature +cot(r) (normal into the ball).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-import sympy as sp
 
 from .errors import DomainError, ImmersionFailure
 from .geometry import SurfacePoint, first_fundamental_form
+from .pinch import S3_VOLUME, SQRT2
 
-S3_VOLUME = 2.0 * math.pi ** 2
 TWO_PI = 2.0 * math.pi
 
 _R_MIN = 1e-3
 _EPS_CAP = 0.3
 _MINIMAL_TOL = 1e-9
-
-
-def _bcast(component, shape):
-    return np.broadcast_to(np.asarray(component, dtype=float), shape)
 
 
 class Surface:
@@ -154,12 +148,15 @@ def clifford_torus() -> FlatTorus:
 
 
 class PerturbedSphere(Surface):
-    """Geodesic-polar graph r + eps * Z_lm over the round sphere chart.
+    """Geodesic-polar graph rho = r + eps * Z_lm over the round sphere chart.
 
-    Z_lm is the real spherical harmonic with unit L^2 norm on the 2-sphere.
-    Partials come from symbolic differentiation of the immersion, so the
-    surface is exactly as smooth as its formula.  Genus-0 test surface with
-    strictly positive pinching integrand for eps != 0.
+    Z_lm is the real spherical harmonic with unit L^2 norm on the 2-sphere:
+    with a = |m|, Q = d^a/dx^a P_l and N its normalisation, Z_lm is
+    N Q(cos theta) for m = 0, (-1)^a sqrt(2) N sin^a(theta) Q(cos theta)
+    cos(a phi) for m > 0 and -sqrt(2) N sin^a(theta) Q(cos theta) sin(a phi)
+    for m < 0.  Its partials are closed forms, so the surface is exactly as
+    smooth as its formula.  Genus-0 test surface with strictly positive
+    pinching integrand for eps != 0.
     """
 
     periodic_u = True
@@ -178,33 +175,47 @@ class PerturbedSphere(Surface):
         self.r, self.eps, self.l, self.m = float(r), float(eps), int(l), int(m)
         self.name = f"psphere:r={self.r:.10g},eps={self.eps:.10g},l={self.l},m={self.m}"
 
-        # Radius and amplitude stay symbolic so the expensive lambdify work
-        # is cached once per harmonic mode (l, m).
-        fns = _psphere_functions(self.l, self.m)
-
-        def fix(fs):
-            return [lambda phi, th, f=f: f(phi, th, self.r, self.eps) for f in fs]
-
-        self._pos = fix(fns["pos"])
-        self._du = fix(fns["du"])
-        self._dv = fix(fns["dv"])
-        self._duu = fix(fns["duu"])
-        self._duv = fix(fns["duv"])
-        self._dvv = fix(fns["dvv"])
-        self._rho = lambda th, ph: fns["rho"](ph, th, self.r, self.eps)
+        a = abs(self.m)
+        norm = math.sqrt((2 * self.l + 1) / (4.0 * math.pi)
+                         * math.factorial(self.l - a) / math.factorial(self.l + a))
+        if self.m:
+            norm *= SQRT2 * ((-1) ** a if self.m > 0 else -1)
+        self._amplitude = self.eps * norm
+        q = np.polynomial.legendre.Legendre.basis(self.l).deriv(a)
+        self._legendre = (q, q.deriv(), q.deriv(2))
 
         self._check_immersion(probe)
 
-    def _rho_of(self, theta, phi):
-        theta = np.asarray(theta, dtype=float)
-        out = self._rho(theta, np.asarray(phi, dtype=float))
-        return _bcast(out, theta.shape) if np.shape(out) != theta.shape else out
+    def _rho(self, phi, theta, partials=False):
+        """rho, or with partials=True the tuple of rho and its partials along
+        phi, theta, phi-phi, phi-theta, theta-theta.
+
+        The theta factor sin^a * Q(cos) is differentiated by the product rule
+        with no division by sin(theta), so every partial is finite at the
+        poles; s ** max(k, 0) only ever multiplies a zero coefficient.
+        """
+        a, k = abs(self.m), self._amplitude
+        s, c = np.sin(theta), np.cos(theta)
+        sa, q0 = s ** a, self._legendre[0](c)
+        f = sa * q0
+        g = np.cos(a * phi) if self.m >= 0 else np.sin(a * phi)
+        rho = self.r + k * f * g
+        if not partials:
+            return rho
+        q1, q2 = self._legendre[1](c), self._legendre[2](c)
+        f_t = a * s ** max(a - 1, 0) * c * q0 - s ** (a + 1) * q1
+        f_tt = (a * (a - 1) * s ** max(a - 2, 0) * c * c * q0 - a * sa * q0
+                - (2 * a + 1) * sa * c * q1 + s ** (a + 2) * q2)
+        g_p = -a * np.sin(a * phi) if self.m >= 0 else a * np.cos(a * phi)
+        g_pp = -a * a * g
+        return (rho, k * f * g_p, k * f_t * g,
+                k * f * g_pp, k * f_t * g_p, k * f_tt * g)
 
     def _check_immersion(self, n: int) -> None:
         uu = np.linspace(0.0, TWO_PI, n, endpoint=False)
         vv = np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n)
         U, V = np.meshgrid(uu, vv, indexing="ij")
-        rho = self._rho_of(V, U)
+        rho = self._rho(U, V)
         if np.any(rho <= 0.0) or np.any(rho >= math.pi):
             raise DomainError("perturbed radius leaves (0, pi); reduce eps")
         p = self.point(U, V)
@@ -214,17 +225,32 @@ class PerturbedSphere(Surface):
             raise ImmersionFailure("EG - F^2 degenerates at a probe node; reduce eps")
 
     def point(self, u, v) -> SurfacePoint:
-        phi = np.asarray(u, dtype=float)
-        th = np.asarray(v, dtype=float)
-        phi, th = np.broadcast_arrays(phi, th)
-        shape = phi.shape
+        # Chain rule through pos = sin(rho) * d + cos(rho) * e4, where d is the
+        # unit direction (theta, phi) in the first three coordinates and
+        # tang = d pos / d rho has d tang / d rho = -pos.
+        phi, th = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        rho, r_u, r_v, r_uu, r_uv, r_vv = (x[..., None] for x in self._rho(phi, th, partials=True))
+        st, ct = np.sin(th), np.cos(th)
+        sp_, cp = np.sin(phi), np.cos(phi)
+        zeros = np.zeros_like(th)
+        d = np.stack([st * cp, st * sp_, ct, zeros], axis=-1)
+        d_u = np.stack([-st * sp_, st * cp, zeros, zeros], axis=-1)
+        d_v = np.stack([ct * cp, ct * sp_, -st, zeros], axis=-1)
+        d_uu = np.stack([-st * cp, -st * sp_, zeros, zeros], axis=-1)
+        d_uv = np.stack([-ct * sp_, ct * cp, zeros, zeros], axis=-1)
+        e4 = np.array([0.0, 0.0, 0.0, 1.0])
+        sr, cr = np.sin(rho), np.cos(rho)
+        pos = sr * d + cr * e4
+        tang = cr * d - sr * e4
 
-        def ev(fns):
-            return np.stack([_bcast(f(phi, th), shape) for f in fns], axis=-1)
+        def second(r_x, r_y, r_xy, d_x, d_y, d_xy):
+            return r_xy * tang - r_x * r_y * pos + cr * (r_x * d_y + r_y * d_x) + sr * d_xy
 
         return SurfacePoint(
-            ev(self._pos), ev(self._du), ev(self._dv),
-            ev(self._duu), ev(self._duv), ev(self._dvv),
+            pos, r_u * tang + sr * d_u, r_v * tang + sr * d_v,
+            second(r_u, r_u, r_uu, d_u, d_u, d_uu),
+            second(r_u, r_v, r_uv, d_u, d_v, d_uv),
+            second(r_v, r_v, r_vv, d_v, d_v, -d),
         )
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
@@ -233,38 +259,7 @@ class PerturbedSphere(Surface):
         rad = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
         theta = np.arccos(np.clip(np.divide(x[..., 2], np.where(rad == 0, 1.0, rad)), -1.0, 1.0))
         phi = np.arctan2(x[..., 1], x[..., 0])
-        return psi < self._rho_of(theta, phi)
-
-
-@functools.lru_cache(maxsize=None)
-def _psphere_functions(l: int, m: int) -> dict:
-    """Lambdified position map and partials for a Znm-perturbed sphere.
-
-    Radius r and amplitude eps are left as arguments so the symbolic work
-    happens once per mode.  Znm is real-valued but expand_func leaves it in
-    complex-exponential form; rewrite to trig and drop the identically-zero
-    imaginary part.
-    """
-    th, ph, r_s, eps_s = sp.symbols("theta phi r eps", real=True)
-    harmonic = sp.expand_func(sp.Znm(l, m, th, ph))
-    harmonic = sp.simplify(sp.re(sp.expand(harmonic.rewrite(sp.cos))))
-    rho = r_s + eps_s * harmonic
-    direction = [sp.sin(th) * sp.cos(ph), sp.sin(th) * sp.sin(ph), sp.cos(th)]
-    pos = [sp.sin(rho) * d for d in direction] + [sp.cos(rho)]
-
-    # Chart order matches GeodesicSphere: u = phi, v = theta.
-    def lamb(exprs):
-        return [sp.lambdify((ph, th, r_s, eps_s), e, "numpy") for e in exprs]
-
-    return {
-        "pos": lamb(pos),
-        "du": lamb([sp.diff(e, ph) for e in pos]),
-        "dv": lamb([sp.diff(e, th) for e in pos]),
-        "duu": lamb([sp.diff(e, ph, 2) for e in pos]),
-        "duv": lamb([sp.diff(e, ph, th) for e in pos]),
-        "dvv": lamb([sp.diff(e, th, 2) for e in pos]),
-        "rho": sp.lambdify((ph, th, r_s, eps_s), rho, "numpy"),
-    }
+        return psi < self._rho(phi, theta)
 
 
 class FiniteDifferenceSurface(Surface):

@@ -170,13 +170,8 @@ def _cmd_solve(args) -> int:
         result = pinch.f_inverse(float(args.args[0]))
         target = float(args.args[0])
     elif args.what == "maxA":
-        g = int(args.args[0])
         ambient = float(args.args[1]) if len(args.args) > 1 else pinch.S3_VOLUME
-        if not (isinstance(g, int) and g >= 1):
-            raise DomainError("genus must be >= 1")
-        if not (0.0 < ambient <= pinch.S3_VOLUME):
-            raise DomainError("ambient volume must lie in (0, 2*pi^2]")
-        target = (2.0 * math.pi ** 2 * (g - 1) + ambient) / (4.0 * math.pi * ((g + 3) // 2))
+        target = pinch.min_surface_maxA_target(int(args.args[0]), ambient)
         result = pinch.f_inverse(target)
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown solve '{args.what}'")
@@ -298,8 +293,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.tol <= 0:
-            raise DomainError("tolerance must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise DomainError(f"--tol must be finite and positive, got {args.tol}")
+        if args.samples < 0:
+            raise DomainError(f"--samples must be >= 0, got {args.samples}")
         _validate_resolution(args.resolution)
         return args.func(args)
     except _PARSE_ERRORS as exc:

@@ -200,14 +200,15 @@ def import_surface(path) -> GridSurface:
     if not np.allclose(data[:, 0], np.repeat(nodes_u, nv)) or \
        not np.allclose(data[:, 1], np.tile(nodes_v, nu)):
         raise FormatError("rows are not row-major over a uniform grid")
+    for n, periodic in ((nu, periodic_u), (nv, periodic_v)):
+        if n < (MIN_PERIODIC_RESOLUTION if periodic else _STENCIL):
+            raise ResolutionTooCoarse(
+                f"need >= {MIN_PERIODIC_RESOLUTION} nodes per periodic direction and >= "
+                f"{_STENCIL} per non-periodic direction ({_STENCIL}-point stencil), got {nu}x{nv}")
     for nodes in (nodes_u, nodes_v):
         steps = np.diff(nodes)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise FormatError("grid nodes are not uniformly spaced")
-    if (periodic_u and nu < MIN_PERIODIC_RESOLUTION) or \
-       (periodic_v and nv < MIN_PERIODIC_RESOLUTION):
-        raise ResolutionTooCoarse(
-            f"need >= {MIN_PERIODIC_RESOLUTION} nodes per periodic direction")
 
     pos = data[:, 2:].reshape(nu, nv, 4)
     norms = np.linalg.norm(pos, axis=-1)

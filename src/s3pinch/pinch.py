@@ -15,6 +15,8 @@ import numpy as np
 from .errors import BracketFailure, DomainError
 
 SQRT2 = math.sqrt(2.0)
+S3_VOLUME = 2.0 * math.pi ** 2     # |S^3|
+FOUR_PI_SQ = 4.0 * math.pi ** 2    # 2|S^3|, the left side of the sum inequality
 
 # Root-solve knobs: bisect to this bracket width, then Newton-polish.
 BISECT_WIDTH = 1e-8
@@ -305,24 +307,28 @@ def beta_solve(g0: int, area: float) -> RootResult:
     return solve_increasing(beta_pinch, rhs, dfunc=dphi)
 
 
-S3_VOLUME = 2.0 * math.pi ** 2
+def min_surface_maxA_target(g: int, ambient_volume: float = S3_VOLUME) -> float:
+    """Argument of f^{-1} in min_surface_maxA_bound.
 
-
-def min_surface_maxA_bound(g: int, ambient_volume: float = S3_VOLUME) -> float:
-    """Lower bound on max |A| for a minimal surface of genus g.
-
-    f^{-1}((2*pi^2*(g-1) + |M|) / (4*pi*floor((g+3)/2))); for the unit
-    3-sphere ambient this is f^{-1}((pi/2) * g / floor((g+3)/2)).
+    (2*pi^2*(g-1) + |M|) / (4*pi*floor((g+3)/2)); for the unit 3-sphere
+    ambient this is (pi/2) * g / floor((g+3)/2).
     """
     if not isinstance(g, (int, np.integer)) or g < 1:
         raise DomainError("genus must be an integer >= 1")
     _require_finite(ambient_volume)
     if not (0.0 < ambient_volume <= S3_VOLUME):
         raise DomainError("ambient volume must lie in (0, 2*pi^2]")
-    arg = (2.0 * math.pi ** 2 * (g - 1) + ambient_volume) / (
+    return (2.0 * math.pi ** 2 * (g - 1) + ambient_volume) / (
         4.0 * math.pi * ((g + 3) // 2)
     )
-    return f_inverse(arg).value
+
+
+def min_surface_maxA_bound(g: int, ambient_volume: float = S3_VOLUME) -> float:
+    """Lower bound on max |A| for a minimal surface of genus g.
+
+    f^{-1} of min_surface_maxA_target(g, ambient_volume).
+    """
+    return f_inverse(min_surface_maxA_target(g, ambient_volume)).value
 
 
 def eigenvalue_bound_rhs(area: float, integral_f: float, ambient_volume: float = S3_VOLUME) -> float:

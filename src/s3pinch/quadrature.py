@@ -15,11 +15,9 @@ import numpy as np
 
 from .errors import GenusDetectionFailure
 from .geometry import curvature_at
-from .pinch import f_pinch
+from .pinch import FOUR_PI_SQ, SQRT2, f_pinch
 from .catalog import Surface
 
-SQRT2 = math.sqrt(2.0)
-FOUR_PI_SQ = 4.0 * math.pi ** 2
 GAP_THRESHOLD = 3.0 * SQRT2 * math.pi ** 2
 EULER_ROUNDING_TOL = 0.01
 DEFAULT_RESOLUTION = 64
@@ -123,14 +121,13 @@ def _integrals(surface: Surface, grid: QuadratureGrid):
     integral_f = float(np.sum(w * f_pinch(cd.traceless_norm)))
     integral_A3 = float(np.sum(w * cd.traceless_norm ** 3))
     absA3 = float(np.sum(w * (cd.k1 ** 2 + cd.k2 ** 2) ** 1.5))
-    max_H = float(np.max(np.abs(cd.H)))
-    return area, total_K, integral_f, integral_A3, absA3, max_H
+    return area, total_K, integral_f, integral_A3, absA3
 
 
 def genus_report(surface: Surface, grid: QuadratureGrid,
                  euler_tol: float = EULER_ROUNDING_TOL) -> GenusReport:
     """Detect the genus via Gauss-Bonnet and evaluate every genus bound."""
-    area, total_K, integral_f, integral_A3, absA3, _ = _integrals(surface, grid)
+    area, total_K, integral_f, integral_A3, absA3 = _integrals(surface, grid)
 
     chi_raw = total_K / (2.0 * math.pi)
     euler = int(round(chi_raw))

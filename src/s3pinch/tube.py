@@ -15,11 +15,9 @@ import numpy as np
 
 from .catalog import Surface, sample_s3
 from .errors import ChainViolation, DomainError
-from .pinch import acot, hk_time_integral, prop1_integrand
+from .pinch import FOUR_PI_SQ, S3_VOLUME, acot, hk_time_integral, prop1_integrand
 from .quadrature import QuadratureGrid, genus_report, _node_data
 
-S3_VOLUME = 2.0 * math.pi ** 2
-FOUR_PI_SQ = 4.0 * math.pi ** 2
 CHAIN_TOL = 1e-8
 DEFAULT_SAMPLES = 10 ** 6
 

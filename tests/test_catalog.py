@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +144,61 @@ def test_perturbed_sphere_nonzero_modes():
         cd = curvature_at(ps.point(u, v))
         assert np.all(np.isfinite(cd.k1))
         assert np.any(cd.traceless_norm > 1e-3)
+
+
+def _sympy_reference(l, m, r, eps):
+    """Position, its five partials and rho of the (l, m) graph, by sympy.
+
+    Znm is real but expand_func leaves it in complex-exponential form;
+    rewrite to trig and drop the identically-zero imaginary part.
+    """
+    import sympy as sp
+
+    th, ph = sp.symbols("theta phi", real=True)
+    harmonic = sp.re(sp.expand(sp.expand_func(sp.Znm(l, m, th, ph)).rewrite(sp.cos)))
+    rho = r + eps * harmonic
+    direction = [sp.sin(th) * sp.cos(ph), sp.sin(th) * sp.sin(ph), sp.cos(th)]
+    pos = [sp.sin(rho) * d for d in direction] + [sp.cos(rho)]
+    fields = [pos, [sp.diff(e, ph) for e in pos], [sp.diff(e, th) for e in pos],
+              [sp.diff(e, ph, 2) for e in pos], [sp.diff(e, ph, th) for e in pos],
+              [sp.diff(e, th, 2) for e in pos], rho]
+    return sp.lambdify((ph, th), fields, "numpy", cse=True)
+
+
+@pytest.mark.parametrize("l, m", [
+    (0, 0), (1, -1), (2, -1), (2, 2), (3, 1), (3, -2), (4, -3), (5, 0), (6, 4),
+])
+def test_perturbed_sphere_matches_sympy_oracle(l, m):
+    r, eps = 1.2, 0.09
+    ps = PerturbedSphere(r, eps, l, m)
+    reference = _sympy_reference(l, m, r, eps)
+    rng = np.random.default_rng(100 * l + m)
+    u = rng.uniform(0.0, 2 * PI, 240)
+    v = np.concatenate([rng.uniform(0.0, PI, 200), np.repeat([0.0, PI], 20)])
+    *fields, _ = reference(u, v)
+    p = ps.point(u, v)
+    for name, ref in zip(("position", "du", "dv", "duu", "duv", "dvv"), fields):
+        ref = np.stack([np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in ref], -1)
+        got = getattr(p, name)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (name, l, m)
+
+    x = sample_s3(20000, np.random.default_rng(7))
+    psi = np.arccos(np.clip(x[:, 3], -1.0, 1.0))
+    theta = np.arccos(np.clip(x[:, 2] / np.linalg.norm(x[:, :3], axis=1), -1.0, 1.0))
+    phi = np.arctan2(x[:, 1], x[:, 0])
+    rho = np.broadcast_to(np.asarray(reference(phi, theta)[-1], dtype=float), psi.shape)
+    assert np.array_equal(ps.side_classifier(x), psi < rho)
+
+
+def test_import_does_not_load_sympy():
+    # numpy is the only runtime dependency; a stray import fails here.
+    import s3pinch
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(s3pinch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, s3pinch; assert 'sympy' not in sys.modules, 'sympy loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_parse_surface():

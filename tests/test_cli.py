@@ -8,6 +8,7 @@ import pytest
 from s3pinch.cli import build_parser, main, sweep_tori
 from s3pinch.gridio import export_grid
 from s3pinch.catalog import GeodesicSphere, clifford_torus
+from s3pinch.pinch import min_surface_maxA_bound
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -87,6 +88,7 @@ def test_solve_maxA(capsys):
     assert doc["result"]["value"] > 0.0
     assert doc["target"] == pytest.approx(
         (2 * math.pi ** 2 + 2 * math.pi ** 2) / (4 * math.pi * 2))
+    assert doc["result"]["value"] == min_surface_maxA_bound(2)
 
 
 def test_solve_bad_args_exit_2(capsys):
@@ -94,6 +96,18 @@ def test_solve_bad_args_exit_2(capsys):
     assert main(["solve", "finv", "-1.0"]) == 2
     assert main(["solve", "beta", "0", "1.0"]) == 2
     assert main(["solve", "maxA", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--tol", "nan", "check", "sphere:r=1.0"], "--tol"),
+    (["--tol", "inf", "check", "sphere:r=1.0"], "--tol"),
+    (["--tol", "0", "check", "sphere:r=1.0"], "--tol"),
+    (["--samples", "-5", "check", "sphere:r=1.0"], "--samples"),
+])
+def test_bad_global_flag_exits_2_with_one_line(capsys, argv, flag):
+    assert main(["--resolution", "16", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +208,19 @@ def test_import_bad_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,a,grid\n")
     assert main(["import", str(path)]) == 2
+
+
+@pytest.mark.parametrize("nu, nv, rows", [(32, 32, 1), (32, 5, None)])
+def test_import_too_coarse_exits_2(capsys, tmp_path, nu, nv, rows):
+    # One data row, and a sphere chart below the 7-point stencil.
+    path = tmp_path / "coarse.csv"
+    export_grid(GeodesicSphere(1.0), nu, nv, path)
+    if rows is not None:
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2 + rows]) + "\n")
+    assert main(["import", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "per non-periodic direction" in err
 
 
 def test_import_off_sphere_exits_2(capsys, tmp_path):

@@ -122,6 +122,23 @@ def test_too_coarse_periodic_grid_rejected(tmp_path):
         import_surface(path)
 
 
+def test_single_row_grid_rejected(tmp_path):
+    path, _ = _round_trip(tmp_path, clifford_torus(), 32, 32)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3]) + "\n")
+    with pytest.raises(ResolutionTooCoarse, match="16 nodes per periodic"):
+        import_surface(path)
+
+
+def test_too_coarse_non_periodic_grid_rejected(tmp_path):
+    path = tmp_path / "coarse.csv"
+    export_grid(GeodesicSphere(1.0), 32, 6, path)
+    with pytest.raises(ResolutionTooCoarse, match="7 per non-periodic"):
+        import_surface(path)
+    export_grid(GeodesicSphere(1.0), 32, 7, path)
+    assert import_surface(path).positions.shape == (32, 7, 4)
+
+
 def test_nonuniform_spacing_rejected(tmp_path):
     path, _ = _round_trip(tmp_path, clifford_torus(), 32, 32)
     lines = path.read_text().splitlines()
