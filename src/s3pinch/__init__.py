@@ -3,7 +3,7 @@
 from .errors import (
     BracketFailure, ChainViolation, DegenerateMetric, DomainError, FormatError,
     GenusDetectionFailure, ImmersionFailure, NoSpectralData, NotMinimal,
-    OffSphere, ResolutionTooCoarse, S3PinchError,
+    OffSampleGrid, OffSphere, ResolutionTooCoarse, S3PinchError,
 )
 from .geometry import (
     CurvatureData, SurfacePoint, cross4, curvature_at, flip_orientation,
@@ -20,8 +20,8 @@ from .catalog import (
     Surface, clifford_torus, parse_surface, sample_s3,
 )
 from .quadrature import (
-    GenusReport, QuadratureGrid, convergence_probe, genus_report, integrate,
-    make_grid,
+    GenusReport, QuadratureGrid, convergence_probe, gap_integral, genus_report,
+    integrate, make_grid,
 )
 from .tube import (
     TubeReport, focal_time, monte_carlo_volume, normal_geodesic,

@@ -84,13 +84,14 @@ def _validate_resolution(n: int) -> int:
 
 def _check_surface(surface, grid, args) -> tuple[dict, int]:
     tol = args.tol
-    rep = quadrature.genus_report(surface, grid)
+    nodes = quadrature._node_data(surface, grid)
+    rep = quadrature.genus_report(surface, grid, nodes=nodes)
     chain_error = None
     tubes = ()
     try:
         tubes = tube.verify_sum_inequality(surface, grid,
                                            mc_samples=args.samples, seed=args.seed,
-                                           tol=tol)
+                                           tol=tol, nodes=nodes, report=rep)
     except ChainViolation as exc:
         chain_error = str(exc)
 
@@ -185,10 +186,7 @@ def _cmd_solve(args) -> int:
 def _cmd_gap(args) -> int:
     surface = catalog.parse_surface(args.surface)
     grid = quadrature.make_grid(surface, args.resolution, args.resolution)
-    _, cd, jac = quadrature._node_data(surface, grid)
-    if float(np.max(np.abs(cd.H))) > 1e-6:
-        raise NotMinimal(f"max |H| = {float(np.max(np.abs(cd.H))):.3e} > 1e-6")
-    integral = float(np.sum(grid.weights * jac * (cd.k1 ** 2 + cd.k2 ** 2) ** 1.5))
+    integral = quadrature.gap_integral(surface, grid)
     threshold = quadrature.GAP_THRESHOLD
     doc = {
         **_provenance(args),

@@ -41,6 +41,10 @@ class FormatError(S3PinchError):
     """Malformed surface grid file."""
 
 
+class OffSampleGrid(S3PinchError, ValueError):
+    """Imported surface evaluated away from its sample nodes."""
+
+
 class OffSphere(FormatError):
     """Grid file contains a sample that is not a unit 4-vector."""
 

@@ -47,6 +47,7 @@ class CurvatureData:
     traceless_norm: np.ndarray
     gauss_K: np.ndarray
     normal: np.ndarray
+    area_element: np.ndarray  # sqrt(E*G - F^2)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,13 +61,17 @@ def cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     The result is orthogonal to all three arguments and its orientation is
     fixed by the argument order.
     """
-    m = np.stack(np.broadcast_arrays(a, b, c), axis=-2)
-    out = np.empty(m.shape[:-2] + (4,), dtype=float)
-    cols = np.arange(4)
-    for i in range(4):
-        sub = m[..., cols != i]
-        out[..., i] = (-1.0) ** i * np.linalg.det(sub)
-    return out
+    # Cofactor expansion along a over the six 2x2 minors of (b, c).
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+        np.moveaxis(np.asarray(x, dtype=float), -1, 0) for x in (a, b, c))
+    m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+    m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+    return np.stack((
+        a1 * m23 - a2 * m13 + a3 * m12,
+        a2 * m03 - a0 * m23 - a3 * m02,
+        a0 * m13 - a1 * m03 + a3 * m01,
+        a1 * m02 - a0 * m12 - a2 * m01,
+    ), axis=-1)
 
 
 def first_fundamental_form(p: SurfacePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,6 +115,7 @@ def curvature_at(p: SurfacePoint) -> CurvatureData:
     """
     nu, (E, F, G) = tangent_normal_frame(p)
     det = E * G - F * F
+    sqrt_det = np.sqrt(det)
     e = dot(p.duu, nu)
     f = dot(p.duv, nu)
     g = dot(p.dvv, nu)
@@ -120,7 +126,7 @@ def curvature_at(p: SurfacePoint) -> CurvatureData:
     # umbilic points stay umbilic to roundoff.
     tr_s = (e * G - 2.0 * f * F + g * E) / det
     m11 = e / E
-    m12 = (f * E - e * F) / (E * np.sqrt(det))
+    m12 = (f * E - e * F) / (E * sqrt_det)
     m22 = tr_s - m11
     half_gap = np.sqrt(((m11 - m22) / 2.0) ** 2 + m12 ** 2)
     mean = tr_s / 2.0
@@ -137,6 +143,7 @@ def curvature_at(p: SurfacePoint) -> CurvatureData:
         traceless_norm=(k2 - k1) / np.sqrt(2.0),
         gauss_K=1.0 + k1 * k2,
         normal=nu,
+        area_element=sqrt_det,
     )
 
 
@@ -149,4 +156,5 @@ def flip_orientation(c: CurvatureData) -> CurvatureData:
         traceless_norm=c.traceless_norm,
         gauss_K=c.gauss_K,
         normal=-c.normal,
+        area_element=c.area_element,
     )

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .catalog import Surface
-from .errors import FormatError, OffSphere, ResolutionTooCoarse
+from .errors import FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse
 from .geometry import SurfacePoint
 from .quadrature import QuadratureGrid
 
@@ -87,7 +87,7 @@ class GridSurface(Surface):
         idx = np.rint((np.asarray(coords, dtype=float) - nodes[0]) / h).astype(int)
         idx = idx % len(nodes)
         if np.any(np.abs(nodes[idx] - coords) > 1e-8 * max(1.0, abs(h))):
-            raise ValueError("imported surfaces are only defined at their sample nodes")
+            raise OffSampleGrid("imported surfaces are only defined at their sample nodes")
         return idx
 
     def point(self, u, v) -> SurfacePoint:
@@ -191,6 +191,9 @@ def import_surface(path) -> GridSurface:
         raise FormatError(f"bad data row: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 6:
         raise FormatError("each data row must have 6 columns")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise FormatError(f"non-finite value in data row {bad[0] + 1}: '{lines[2 + bad[0]]}'")
 
     nodes_u = np.unique(data[:, 0])
     nodes_v = np.unique(data[:, 1])

@@ -47,6 +47,24 @@ def _require_nonneg(t) -> None:
         raise DomainError("argument must be >= 0")
 
 
+def _ordered_pair(k1, k2):
+    """Finite float arrays with k1 <= k2."""
+    _require_finite(k1, k2)
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    if np.any(k1 > k2):
+        raise DomainError("requires k1 <= k2")
+    return k1, k2
+
+
+def _ts_pair(t, s):
+    """Finite float arrays with t >= 0."""
+    _require_finite(t, s)
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if np.any(t < 0):
+        raise DomainError("requires t >= 0")
+    return t, s
+
+
 def _x_minus_atan(x):
     """x - atan(x), stable for small x (direct subtraction cancels to 0)."""
     x = np.asarray(x, dtype=float)
@@ -160,11 +178,7 @@ def lemma3_gap(k1, k2):
                 + (1 + k1*k2)*(atan(k2) - atan(k1)),
     zero exactly when k1 = +-k2.
     """
-    _require_finite(k1, k2)
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    if np.any(k1 > k2):
-        raise DomainError("requires k1 <= k2")
+    k1, k2 = _ordered_pair(k1, k2)
     t = (k2 - k1) / 2.0
     out = 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + k1 * k2) * (
         np.arctan(k2) - np.arctan(k1)
@@ -174,11 +188,7 @@ def lemma3_gap(k1, k2):
 
 def lemma3_F(t, s):
     """Two-variable form of the gap: F(t, s) with k1 = s-t, k2 = s+t."""
-    _require_finite(t, s)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("requires t >= 0")
+    t, s = _ts_pair(t, s)
     out = 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + s * s - t * t) * (
         np.arctan(s + t) - np.arctan(s - t)
     )
@@ -187,11 +197,7 @@ def lemma3_F(t, s):
 
 def lemma3_dFds(t, s):
     """Closed-form partial dF/ds."""
-    _require_finite(t, s)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("requires t >= 0")
+    t, s = _ts_pair(t, s)
     out = 2.0 * s * (np.arctan(s + t) - np.arctan(s - t)) + (
         1.0 + s * s - t * t
     ) * (1.0 / (1.0 + (t + s) ** 2) - 1.0 / (1.0 + (t - s) ** 2))
@@ -200,11 +206,7 @@ def lemma3_dFds(t, s):
 
 def lemma3_d2Fdtds(t, s):
     """Closed-form mixed partial d^2F/dtds, a manifestly nonnegative rational."""
-    _require_finite(t, s)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("requires t >= 0")
+    t, s = _ts_pair(t, s)
     num = 32.0 * t * t * s * (1.0 + t * t + s * s)
     den = (1.0 + (t - s) ** 2) ** 2 * (1.0 + (t + s) ** 2) ** 2
     out = num / den
@@ -267,22 +269,14 @@ def hk_time_integral(k1, k2):
     Equals (1/2)*(-k1 + (1 + k1*k2)*acot(k2)); the upper limit is the focal
     time along the normal geodesic.
     """
-    _require_finite(k1, k2)
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    if np.any(k1 > k2):
-        raise DomainError("requires k1 <= k2")
+    k1, k2 = _ordered_pair(k1, k2)
     out = 0.5 * (-k1 + (1.0 + k1 * k2) * (np.pi / 2.0 - np.arctan(k2)))
     return out if out.ndim else float(out)
 
 
 def prop1_integrand(k1, k2):
     """Genus-bound integrand k2 - k1 - (1 + k1*k2)*(atan k2 - atan k1)."""
-    _require_finite(k1, k2)
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    if np.any(k1 > k2):
-        raise DomainError("requires k1 <= k2")
+    k1, k2 = _ordered_pair(k1, k2)
     out = k2 - k1 - (1.0 + k1 * k2) * (np.arctan(k2) - np.arctan(k1))
     return out if out.ndim else float(out)
 

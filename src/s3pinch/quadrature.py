@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenusDetectionFailure
+from .errors import GenusDetectionFailure, NotMinimal, OffSampleGrid
 from .geometry import curvature_at
 from .pinch import FOUR_PI_SQ, SQRT2, f_pinch
 from .catalog import Surface
 
 GAP_THRESHOLD = 3.0 * SQRT2 * math.pi ** 2
 EULER_ROUNDING_TOL = 0.01
+MINIMAL_H_TOL = 1e-6
 DEFAULT_RESOLUTION = 64
 GL_PANEL_SIZE = 8
 
@@ -67,15 +68,11 @@ def make_grid(surface: Surface, nu: int, nv: int) -> QuadratureGrid:
 
 
 def _node_data(surface: Surface, grid: QuadratureGrid):
-    """Evaluate the surface and its curvature at every grid node."""
+    """Curvature data and weighted area element at every grid node: all the
+    certificates read from a grid, so callers evaluate it once and pass it on."""
     U, V = np.meshgrid(grid.nodes_u, grid.nodes_v, indexing="ij")
-    p = surface.point(U, V)
-    cd = curvature_at(p)
-    E = np.sum(p.du * p.du, axis=-1)
-    F = np.sum(p.du * p.dv, axis=-1)
-    G = np.sum(p.dv * p.dv, axis=-1)
-    jac = np.sqrt(E * G - F * F)
-    return p, cd, jac
+    cd = curvature_at(surface.point(U, V))
+    return cd, grid.weights * cd.area_element
 
 
 def integrate(surface: Surface, phi, grid: QuadratureGrid) -> float:
@@ -84,10 +81,11 @@ def integrate(surface: Surface, phi, grid: QuadratureGrid) -> float:
     ``phi(curvature, point)`` receives batched CurvatureData / SurfacePoint
     and must return an array of node values (numpy ufuncs compose fine).
     """
-    p, cd, jac = _node_data(surface, grid)
-    vals = np.asarray(phi(cd, p), dtype=float)
-    vals = np.broadcast_to(vals, jac.shape)
-    return float(np.sum(grid.weights * vals * jac))
+    U, V = np.meshgrid(grid.nodes_u, grid.nodes_v, indexing="ij")
+    p = surface.point(U, V)
+    cd = curvature_at(p)
+    vals = np.broadcast_to(np.asarray(phi(cd, p), dtype=float), cd.area_element.shape)
+    return float(np.sum(grid.weights * vals * cd.area_element))
 
 
 @dataclass(frozen=True)
@@ -113,9 +111,7 @@ class GenusReport:
     gap_below: bool | None = None
 
 
-def _integrals(surface: Surface, grid: QuadratureGrid):
-    _, cd, jac = _node_data(surface, grid)
-    w = grid.weights * jac
+def _integrals(cd, w):
     area = float(np.sum(w))
     total_K = float(np.sum(w * cd.gauss_K))
     integral_f = float(np.sum(w * f_pinch(cd.traceless_norm)))
@@ -124,10 +120,23 @@ def _integrals(surface: Surface, grid: QuadratureGrid):
     return area, total_K, integral_f, integral_A3, absA3
 
 
+def gap_integral(surface: Surface, grid: QuadratureGrid) -> float:
+    """Integral of |A|^3 for the L^3 gap theorem; NotMinimal if max |H| > MINIMAL_H_TOL."""
+    cd, w = _node_data(surface, grid)
+    max_H = float(np.max(np.abs(cd.H)))
+    if max_H > MINIMAL_H_TOL:
+        raise NotMinimal(f"max |H| = {max_H:.3e} > {MINIMAL_H_TOL:g}")
+    return _integrals(cd, w)[4]
+
+
 def genus_report(surface: Surface, grid: QuadratureGrid,
-                 euler_tol: float = EULER_ROUNDING_TOL) -> GenusReport:
-    """Detect the genus via Gauss-Bonnet and evaluate every genus bound."""
-    area, total_K, integral_f, integral_A3, absA3 = _integrals(surface, grid)
+                 euler_tol: float = EULER_ROUNDING_TOL, nodes=None) -> GenusReport:
+    """Detect the genus via Gauss-Bonnet and evaluate every genus bound.
+
+    ``nodes`` is the grid's ``_node_data`` when the caller already has it.
+    """
+    area, total_K, integral_f, integral_A3, absA3 = _integrals(
+        *(_node_data(surface, grid) if nodes is None else nodes))
 
     chi_raw = total_K / (2.0 * math.pi)
     euler = int(round(chi_raw))
@@ -142,14 +151,13 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
     nu, nv = grid.resolution
     if nu >= 16 and nv >= 16:
         try:
-            coarse = make_grid(surface, nu // 2, nv // 2)
-            coarse_f = _integrals(surface, coarse)[2]
+            coarse_f = _integrals(*_node_data(surface, make_grid(surface, nu // 2, nv // 2)))[2]
             convergence = abs(integral_f - coarse_f) / (1.0 + abs(integral_f))
-        except Exception:
-            pass  # surfaces tied to a fixed sample grid cannot be coarsened
+        except OffSampleGrid:
+            pass  # an imported grid has no samples at the coarse nodes
 
     bound_lhs = FOUR_PI_SQ * genus
-    report = GenusReport(
+    return GenusReport(
         area=area,
         total_K=total_K,
         euler_char=euler,
@@ -166,7 +174,6 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
         gap_integral=absA3 if surface.is_minimal else None,
         gap_below=(absA3 < GAP_THRESHOLD) if surface.is_minimal else None,
     )
-    return report
 
 
 def convergence_probe(surface: Surface, base_grid: QuadratureGrid,

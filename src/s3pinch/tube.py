@@ -20,6 +20,8 @@ from .quadrature import QuadratureGrid, genus_report, _node_data
 
 CHAIN_TOL = 1e-8
 DEFAULT_SAMPLES = 10 ** 6
+# Samples drawn and classified per step, so memory does not grow with n.
+MC_TILE = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -54,19 +56,29 @@ def focal_time(k2) -> float:
     return acot(k2)
 
 
-def _side_curvatures(cd, side: int):
-    if side == 1:
-        return cd.k1, cd.k2
-    if side == 2:
-        return -cd.k2, -cd.k1
-    raise DomainError(f"side must be 1 or 2, got {side}")
-
-
 def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float:
     """Heintze-Karcher upper bound for the volume of one side."""
-    _, cd, jac = _node_data(surface, grid)
-    k1, k2 = _side_curvatures(cd, side)
-    return float(np.sum(grid.weights * jac * hk_time_integral(k1, k2)))
+    if side not in (1, 2):
+        raise DomainError(f"side must be 1 or 2, got {side}")
+    cd, w = _node_data(surface, grid)
+    k1, k2 = (cd.k1, cd.k2) if side == 1 else (-cd.k2, -cd.k1)
+    return float(np.sum(w * hk_time_integral(k1, k2)))
+
+
+def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
+    """(estimate, stderr) of sides 1 and 2 from one set of samples, drawn and
+    classified MC_TILE at a time.  Consecutive Philox tile draws continue one
+    stream, so the counts equal those of a single draw of all n samples."""
+    if samples is None:
+        n = int(n_samples)
+        rng = np.random.Generator(np.random.Philox(seed))
+        tiles = (sample_s3(min(MC_TILE, n - i), rng) for i in range(0, n, MC_TILE))
+    else:
+        n = len(samples)
+        tiles = (samples[i:i + MC_TILE] for i in range(0, n, MC_TILE))
+    k = sum(int(np.count_nonzero(surface.side_classifier(x))) for x in tiles)
+    return tuple((S3_VOLUME * p, S3_VOLUME * math.sqrt(p * (1.0 - p) / n))
+                 for p in (float(k) / n, float(n - k) / n))
 
 
 def monte_carlo_volume(surface: Surface, side: int, n_samples: int = DEFAULT_SAMPLES,
@@ -76,63 +88,37 @@ def monte_carlo_volume(surface: Surface, side: int, n_samples: int = DEFAULT_SAM
     Returns (estimate, stderr).  The Philox counter-based generator makes the
     stream reproducible for a given seed regardless of threading.
     """
-    if samples is None:
-        rng = np.random.Generator(np.random.Philox(seed))
-        samples = sample_s3(int(n_samples), rng)
-    inside = surface.side_classifier(samples)
-    if side == 2:
-        inside = ~inside
-    elif side != 1:
+    if side not in (1, 2):
         raise DomainError(f"side must be 1 or 2, got {side}")
-    n = len(samples)
-    p = float(np.count_nonzero(inside)) / n
-    return S3_VOLUME * p, S3_VOLUME * math.sqrt(p * (1.0 - p) / n)
+    return _mc_sides(surface, n_samples, seed, samples)[side - 1]
 
 
 def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
                           mc_samples: int | None = None, seed: int = 0,
-                          tol: float = CHAIN_TOL) -> tuple[TubeReport, TubeReport]:
+                          tol: float = CHAIN_TOL, nodes=None,
+                          report=None) -> tuple[TubeReport, TubeReport]:
     """Check every link of the tube-volume inequality chain for a surface.
 
-    Asserts, at quadrature precision:
-      2|M| <= 2*(bound_1 + bound_2)          (sum of the per-side bounds)
-            = integral with the arctan rewrite (exact identity)
-            = the curvature form (K = 1 + k1 k2 in the unit 3-sphere)
-    and the genus bound 4 pi^2 g <= integral of the genus-bound integrand.
-    Raises ChainViolation naming the first failing link.
+    Asserts, at quadrature precision, 2|M| <= 2*(bound_1 + bound_2) (sum of
+    the per-side bounds), the genus bound 4 pi^2 g <= integral of the
+    genus-bound integrand, and each bound against an exact side volume.
+    Raises ChainViolation naming the first failing link.  ``nodes`` (the
+    grid's ``_node_data``) and ``report`` (its GenusReport) are evaluated
+    here unless the caller passes them.
     """
-    _, cd, jac = _node_data(surface, grid)
-    w = grid.weights * jac
+    cd, w = _node_data(surface, grid) if nodes is None else nodes
 
     b1 = float(np.sum(w * hk_time_integral(cd.k1, cd.k2)))
     b2 = float(np.sum(w * hk_time_integral(-cd.k2, -cd.k1)))
     sum_rhs = 2.0 * (b1 + b2)
-
-    # Rewrite of the same integrand via atan; must agree to roundoff.
-    line2 = float(np.sum(w * (
-        cd.k2 - cd.k1 + (1.0 + cd.k1 * cd.k2)
-        * (math.pi - (np.arctan(cd.k2) - np.arctan(cd.k1)))
-    )))
-    # Curvature form: in the unit 3-sphere K = 1 + k1 k2 exactly.
-    line3 = float(np.sum(w * (
-        cd.k2 - cd.k1 + math.pi * cd.gauss_K
-        - (1.0 + cd.k1 * cd.k2) * (np.arctan(cd.k2) - np.arctan(cd.k1))
-    )))
     prop1_rhs = float(np.sum(w * prop1_integrand(cd.k1, cd.k2)))
-
-    scale = 1.0 + abs(sum_rhs)
-    if sum_rhs < FOUR_PI_SQ - tol * scale:
+    if sum_rhs < FOUR_PI_SQ - tol * (1.0 + abs(sum_rhs)):
         raise ChainViolation(
             f"2|M| <= sum bound failed: {sum_rhs} < {FOUR_PI_SQ}")
-    if abs(line2 - sum_rhs) > tol * scale:
-        raise ChainViolation(
-            f"arctan rewrite mismatch: {sum_rhs} vs {line2}")
-    if line3 < line2 - tol * scale:
-        raise ChainViolation(
-            f"curvature form dropped below the rewrite: {line3} < {line2}")
 
-    rep = genus_report(surface, grid)
-    prop1_lhs = FOUR_PI_SQ * rep.genus
+    if report is None:
+        report = genus_report(surface, grid, nodes=(cd, w))
+    prop1_lhs = FOUR_PI_SQ * report.genus
     if prop1_lhs > prop1_rhs + tol * (1.0 + abs(prop1_rhs)):
         raise ChainViolation(
             f"genus bound failed: {prop1_lhs} > {prop1_rhs}")
@@ -140,20 +126,20 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
     focal1 = acot(np.asarray(cd.k2))
     focal2 = acot(np.asarray(-cd.k1))
     exact = surface.exact_side_volumes
+    mc = (None, None)
+    if mc_samples:
+        try:
+            mc = _mc_sides(surface, mc_samples, seed, None)
+        except NotImplementedError:
+            pass  # surface has no side classifier (e.g. imported grid)
 
     reports = []
     for side, bound, focal in ((1, b1, focal1), (2, b2, focal2)):
-        mc = None
-        if mc_samples:
-            try:
-                mc = monte_carlo_volume(surface, side, mc_samples, seed=seed)
-            except NotImplementedError:
-                mc = None  # surface has no side classifier (e.g. imported grid)
         reports.append(TubeReport(
             side=side,
             hk_upper=bound,
             exact_volume=None if exact is None else exact[side - 1],
-            mc_volume=mc,
+            mc_volume=mc[side - 1],
             focal_min=float(np.min(focal)),
             focal_max=float(np.max(focal)),
             sum_lhs=FOUR_PI_SQ,

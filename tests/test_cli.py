@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from s3pinch import catalog
 from s3pinch.cli import build_parser, main, sweep_tori
 from s3pinch.gridio import export_grid
-from s3pinch.catalog import GeodesicSphere, clifford_torus
+from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
 from s3pinch.pinch import min_surface_maxA_bound
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -223,6 +225,20 @@ def test_import_too_coarse_exits_2(capsys, tmp_path, nu, nv, rows):
     assert err.count("\n") == 1 and "per non-periodic direction" in err
 
 
+def test_import_non_finite_exits_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "nan.csv"
+    export_grid(clifford_torus(), 32, 32, path)
+    lines = path.read_text().splitlines()
+    cols = lines[40].split(",")
+    cols[3] = "nan"
+    lines[40] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["import", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: non-finite value in data row 39:")
+
+
 def test_import_off_sphere_exits_2(capsys, tmp_path):
     path = tmp_path / "off.csv"
     export_grid(GeodesicSphere(1.0), 32, 32, path)
@@ -237,6 +253,25 @@ def test_import_off_sphere_exits_2(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # output contract
 # ---------------------------------------------------------------------------
+
+class _CountingTorus(FlatTorus):
+    def __init__(self, a):
+        super().__init__(a)
+        self.point_shapes = []
+
+    def point(self, u, v):
+        self.point_shapes.append(np.shape(u))
+        return super().point(u, v)
+
+
+def test_check_evaluates_fine_and_coarse_grid_once(capsys, monkeypatch):
+    surface = _CountingTorus(0.6)
+    monkeypatch.setattr(catalog, "parse_surface", lambda spec: surface)
+    code, doc = run_json(capsys, "--resolution", "32", "--samples", "1000",
+                         "check", "torus:a=0.6")
+    assert code == 0 and doc["pass"]
+    assert surface.point_shapes == [(32, 32), (16, 16)]
+
 
 def test_json_output_is_deterministic(capsys):
     _, out1 = run(capsys, "--resolution", "16", "--samples", "10000",

@@ -19,6 +19,39 @@ def random_params(surface, n):
     return u, v
 
 
+def _cross4_by_det(a, b, c):
+    # Reference: n_i = (-1)^i times the 3x3 minor of rows (a, b, c) without
+    # column i, one np.linalg.det per component.
+    m = np.stack(np.broadcast_arrays(a, b, c), axis=-2)
+    out = np.empty(m.shape[:-2] + (4,), dtype=float)
+    cols = np.arange(4)
+    for i in range(4):
+        out[..., i] = (-1.0) ** i * np.linalg.det(m[..., cols != i])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(256, 256, 4), (4,)])
+def test_cross4_matches_determinant_reference(shape):
+    rng = np.random.default_rng(7)
+    a, b, c = (rng.normal(size=shape) for _ in range(3))
+    n = cross4(a, b, c)
+    ref = _cross4_by_det(a, b, c)
+    assert n.shape == ref.shape == shape
+    assert np.max(np.abs(n - ref)) < 1e-13
+    # Orientation: det[n; a; b; c] = |n|^2 > 0 for the argument order (a, b, c).
+    vol = np.linalg.det(np.stack([n, a, b, c], axis=-2))
+    assert np.all(np.sign(vol) == np.sign(np.linalg.det(np.stack([ref, a, b, c], axis=-2))))
+    assert np.allclose(vol, np.sum(n * n, axis=-1), rtol=1e-12)
+    assert np.all(vol > 0)
+
+
+def test_cross4_broadcasts_a_single_vector():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=4)
+    b, c = rng.normal(size=(2, 5, 3, 4))
+    assert np.max(np.abs(cross4(a, b, c) - _cross4_by_det(a, b, c))) < 1e-13
+
+
 def test_cross4_orthogonal_to_arguments():
     for _ in range(50):
         a, b, c = RNG.normal(size=(3, 4))
@@ -133,6 +166,7 @@ def test_orientation_flip_property():
         assert np.allclose(cd_rev.k1 ** 2 + cd_rev.k2 ** 2,
                            cd.k1 ** 2 + cd.k2 ** 2, atol=1e-10)
         assert np.allclose(cd_rev.normal, -cd.normal, atol=1e-12)
+        assert np.allclose(cd_rev.area_element, cd.area_element, atol=1e-12)
 
 
 def test_umbilic_consistency_on_spheres():
@@ -165,6 +199,7 @@ def test_principal_curvatures_satisfy_characteristic_equation():
         f = np.sum(p.duv * nu, axis=-1)
         g = np.sum(p.dvv * nu, axis=-1)
         cd = curvature_at(p)
+        assert np.allclose(cd.area_element, np.sqrt(E * G - F * F), rtol=1e-15)
         for k in (cd.k1, cd.k2):
             det = (e - k * E) * (g - k * G) - (f - k * F) ** 2
             assert np.all(np.abs(det) < 1e-10 * (1.0 + k ** 2))

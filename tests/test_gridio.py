@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
-from s3pinch.errors import FormatError, OffSphere, ResolutionTooCoarse
+from s3pinch.errors import FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse
 from s3pinch.gridio import GridSurface, export_grid, import_surface
 from s3pinch.quadrature import genus_report
 
@@ -62,8 +62,29 @@ def test_point_only_defined_at_nodes(tmp_path):
     u0, v0 = grid.nodes_u[3], grid.nodes_v[5]
     p = gs.point(u0, v0)
     assert abs(np.linalg.norm(p.position) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(OffSampleGrid):
         gs.point(u0 + 1e-3, v0)
+
+
+def test_sphere_chart_import_has_no_coarse_probe(tmp_path):
+    # Gauss-Legendre coarse nodes miss the cell-centre samples of a sphere
+    # chart, so the convergence probe is skipped rather than failed.
+    _, gs = _round_trip(tmp_path, GeodesicSphere(1.0), 32, 32)
+    assert math.isnan(genus_report(gs, gs.natural_grid()).convergence)
+
+
+@pytest.mark.parametrize("row, col, text", [(0, 2, "nan"), (37, 5, "inf"), (1023, 0, "-inf"),
+                                            (500, 1, "NaN")])
+def test_non_finite_value_rejected(tmp_path, row, col, text):
+    path = tmp_path / "grid.csv"
+    export_grid(FlatTorus(0.6), 32, 32, path)
+    lines = path.read_text().splitlines()
+    cols = lines[2 + row].split(",")
+    cols[col] = text
+    lines[2 + row] = ",".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"non-finite value in data row {row + 1}:"):
+        import_surface(path)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from s3pinch import (
-    FlatTorus, GenusDetectionFailure, GeodesicSphere, PerturbedSphere,
-    clifford_torus, convergence_probe, f_pinch, f_series, genus_report,
-    integrate, make_grid,
+    DegenerateMetric, FlatTorus, GenusDetectionFailure, GeodesicSphere,
+    NotMinimal, PerturbedSphere, clifford_torus, convergence_probe, f_pinch,
+    f_series, gap_integral, genus_report, integrate, make_grid,
 )
 
 PI = math.pi
@@ -164,6 +164,29 @@ def test_convergence_probe_sphere_integral_f_stays_zero():
     surface = GeodesicSphere(0.9)
     rows = convergence_probe(surface, make_grid(surface, 8, 8))
     assert all(abs(v) < 1e-12 for _, v, _ in rows)
+
+
+class _CoarseDegenerateTorus(FlatTorus):
+    """Evaluates normally at 32x32 and fails the metric check on coarser grids."""
+
+    def point(self, u, v):
+        if np.shape(u)[0] < 32:
+            raise DegenerateMetric("degenerate on the coarse grid")
+        return super().point(u, v)
+
+
+def test_coarse_probe_failure_propagates():
+    surface = _CoarseDegenerateTorus(0.6)
+    with pytest.raises(DegenerateMetric):
+        genus_report(surface, make_grid(surface, 32, 32))
+
+
+def test_gap_integral_matches_report_and_rejects_non_minimal():
+    surface = clifford_torus()
+    grid = make_grid(surface, 32, 32)
+    assert gap_integral(surface, grid) == genus_report(surface, grid).gap_integral
+    with pytest.raises(NotMinimal):
+        gap_integral(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32))
 
 
 def test_report_embeds_resolution_and_convergence():

@@ -1,0 +1,52 @@
+"""The traced benchmark run patches library functions by name; keep them there.
+
+`perfbench/tracing.py` swaps each (module, attribute) in its TARGETS for a
+timing wrapper with a bare getattr, so a rename or removal in the library
+would break the traced run rather than fail a test.  This reads TARGETS
+without changing anything under perfbench/.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from s3pinch import cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_trace_target_exists(tracing):
+    assert tracing.TARGETS
+    for mod, attr, _ in tracing.TARGETS:
+        assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr} is gone"
+
+
+def _check(tracer=None):
+    argv = ["--resolution", "16", "--samples", "1000", "check", "torus:a=0.6"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        if tracer is None:
+            assert cli.main(argv) == 0
+        else:
+            with tracer.installed(), tracer.span("cli.main"):
+                assert cli.main(argv) == 0
+    return buf.getvalue()
+
+
+def test_traced_check_prints_the_same_bytes(tracing):
+    tracer = tracing.Tracer()
+    assert _check(tracer) == _check()
+    names = {span[0] for span in tracer.spans}
+    assert {"quadrature.node_data", "quadrature.genus_report",
+            "tube.verify_sum_inequality"} <= names

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from s3pinch.catalog import FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus
+from s3pinch.catalog import (
+    FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus, sample_s3,
+)
 from s3pinch.errors import ChainViolation, DomainError
 from s3pinch.quadrature import make_grid
 from s3pinch.tube import (
     FOUR_PI_SQ,
+    MC_TILE,
     S3_VOLUME,
     TubeReport,
     focal_time,
@@ -206,6 +209,36 @@ def test_monte_carlo_rejects_bad_side():
     s = GeodesicSphere(1.0)
     with pytest.raises(DomainError):
         monte_carlo_volume(s, 0, n_samples=10)
+
+
+def _whole_draw_volumes(surface, pts):
+    # One classification of the whole sample array, side 2 as the negation.
+    n = len(pts)
+    inside = surface.side_classifier(pts)
+    out = []
+    for mask in (inside, ~inside):
+        p = float(np.count_nonzero(mask)) / n
+        out.append((S3_VOLUME * p, S3_VOLUME * math.sqrt(p * (1.0 - p) / n)))
+    return out
+
+
+@pytest.mark.parametrize("surface", [GeodesicSphere(1.0), FlatTorus(0.6)])
+def test_tiled_monte_carlo_equals_whole_draw(surface):
+    n, seed = 3 * MC_TILE + 12345, 9
+    pts = sample_s3(n, np.random.Generator(np.random.Philox(seed)))
+    expected = _whole_draw_volumes(surface, pts)
+    for side in (1, 2):
+        assert monte_carlo_volume(surface, side, n_samples=n, seed=seed) == expected[side - 1]
+        assert monte_carlo_volume(surface, side, samples=pts) == expected[side - 1]
+
+
+def test_verify_mc_volumes_bit_identical_to_whole_draw():
+    s = FlatTorus(0.6)
+    n, seed = MC_TILE + 4321, 5
+    r1, r2 = verify_sum_inequality(s, make_grid(s, 16, 16), mc_samples=n, seed=seed)
+    expected = _whole_draw_volumes(s, sample_s3(n, np.random.Generator(np.random.Philox(seed))))
+    assert r1.mc_volume == expected[0]
+    assert r2.mc_volume == expected[1]
 
 
 def test_verify_with_mc_attached():
