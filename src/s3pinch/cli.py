@@ -26,6 +26,10 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_NUMERIC = 4
 FD_FLOOR_TOL = 1e-4
+# Node fields are not tiled: `check` peaks near 0.42 GB at 1024^2, ~1.7 GB at
+# 2048^2. Monte-Carlo draws are tiled, so the sample cap bounds run time only.
+MAX_RESOLUTION = 2048
+MAX_SAMPLES = 10 ** 9
 
 _PARSE_ERRORS = (DomainError, FormatError, NotMinimal, NoSpectralData, ValueError)
 _NUMERIC_ERRORS = (DegenerateMetric, GenusDetectionFailure, BracketFailure,
@@ -77,8 +81,8 @@ def _provenance(args) -> dict:
 
 
 def _validate_resolution(n: int) -> int:
-    if n < 8 or n & (n - 1) != 0:
-        raise DomainError(f"resolution must be a power of 2 and >= 8, got {n}")
+    if not 8 <= n <= MAX_RESOLUTION or n & (n - 1) != 0:
+        raise DomainError(f"--resolution must be a power of 2 in [8, {MAX_RESOLUTION}], got {n}")
     return n
 
 
@@ -248,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "surfaces in the unit 3-sphere.",
     )
     parser.add_argument("--resolution", type=int, default=quadrature.DEFAULT_RESOLUTION,
-                        help="grid resolution per direction (power of 2, >= 8)")
+                        help=f"grid resolution per direction (power of 2, 8..{MAX_RESOLUTION})")
     parser.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     parser.add_argument("--samples", type=int, default=tube.DEFAULT_SAMPLES,
-                        help="Monte-Carlo sample count")
+                        help=f"Monte-Carlo sample count (<= {MAX_SAMPLES:.0e})")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="acceptance tolerance for inequality checks")
@@ -293,8 +297,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise DomainError(f"--tol must be finite and positive, got {args.tol}")
-        if args.samples < 0:
-            raise DomainError(f"--samples must be >= 0, got {args.samples}")
+        if not 0 <= args.samples <= MAX_SAMPLES:
+            raise DomainError(f"--samples must be in [0, {MAX_SAMPLES}], got {args.samples}")
         _validate_resolution(args.resolution)
         return args.func(args)
     except _PARSE_ERRORS as exc:

@@ -14,6 +14,7 @@ stencils on the sample grid, so they are usable only at their own nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -39,24 +40,25 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 
 def _derivative(values: np.ndarray, axis: int, h: float, order: int,
                 periodic: bool) -> np.ndarray:
-    """Apply a 7-point finite-difference stencil along one axis."""
-    n = values.shape[axis]
+    """Apply a 7-point finite-difference stencil along one axis: one centred
+    stencil for every periodic or interior node, one-sided weights for the
+    3 + 3 non-periodic boundary rows (Fornberg 1988)."""
     half = _STENCIL // 2
-    out = np.zeros_like(values)
+    w = _fd_weights(np.arange(-half, half + 1), order)
     if periodic:
-        w = _fd_weights(np.arange(-half, half + 1), order)
+        out = np.zeros_like(values)
         for k, off in enumerate(range(-half, half + 1)):
             out += w[k] * np.roll(values, -off, axis=axis)
-    else:
-        vals = np.moveaxis(values, axis, 0)
-        res = np.zeros_like(vals)
-        for i in range(n):
-            start = min(max(i - half, 0), n - _STENCIL)
-            offs = np.arange(start, start + _STENCIL) - i
-            w = _fd_weights(offs, order)
-            res[i] = np.tensordot(w, vals[start:start + _STENCIL], axes=(0, 0))
-        out = np.moveaxis(res, 0, axis)
-    return out / h ** order
+        return out / h ** order
+    vals = np.moveaxis(values, axis, 0)
+    n = len(vals)
+    res = np.empty_like(vals)
+    res[half:n - half] = sum(w[k] * vals[k:n - 2 * half + k] for k in range(_STENCIL))
+    for i in (*range(half), *range(n - half, n)):
+        start = min(max(i - half, 0), n - _STENCIL)
+        wb = _fd_weights(np.arange(start, start + _STENCIL) - i, order)
+        res[i] = np.tensordot(wb, vals[start:start + _STENCIL], axes=(0, 0))
+    return np.moveaxis(res, 0, axis) / h ** order
 
 
 class GridSurface(Surface):
@@ -139,7 +141,9 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
     xu = nodes(surface.domain_u, nu, surface.periodic_u)
     xv = nodes(surface.domain_v, nv, surface.periodic_v)
     U, V = np.meshgrid(xu, xv, indexing="ij")
-    pos = surface.point(U, V).position
+    table = np.concatenate([U[..., None], V[..., None], surface.point(U, V).position], axis=-1)
+    # %r of a Python float is its shortest round-trip repr.
+    u_line = "%r,%r,%r,%r,%r,%r\n" * nv
 
     def fmt_bool(b):
         return "true" if b else "false"
@@ -155,21 +159,33 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
             f"domain_v=[{fmt(surface.domain_v[0])},{fmt(surface.domain_v[1])}]\n"
         )
         fh.write("u,v,x1,x2,x3,x4\n")
-        for i in range(nu):
-            for j in range(nv):
-                row = [xu[i], xv[j], *pos[i, j]]
-                fh.write(",".join(fmt(x) for x in row) + "\n")
+        for block in table:
+            fh.write(u_line % tuple(block.ravel().tolist()))
+
+
+def _content_lines(fh):
+    """Non-blank lines of a grid file: metadata, header, then the data rows."""
+    return (ln for ln in fh if not ln.isspace())
 
 
 def import_surface(path) -> GridSurface:
     """Read a grid file, validate it, and wrap it as a usable surface."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("#"):
-        raise FormatError("missing metadata comment line")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _content_lines(fh)
+            meta_line, header, first_row = (next(lines, "").strip() for _ in range(3))
+            if not first_row or not meta_line.startswith("#"):
+                raise FormatError("missing metadata comment line")
+            # numpy's C reader parses each value exactly as float() does.
+            data = np.loadtxt(itertools.chain([first_row], lines), delimiter=",",
+                              ndmin=2, comments=None)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"grid file is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # a bad token or a changed column count
+        raise FormatError(f"bad data row: {exc}") from exc
 
     meta = {}
-    for token in lines[0][1:].split():
+    for token in meta_line[1:].split():
         key, _, val = token.partition("=")
         if not val:
             raise FormatError(f"bad metadata token '{token}'")
@@ -181,19 +197,20 @@ def import_surface(path) -> GridSurface:
         dv = [float(x) for x in meta["domain_v"].strip("[]").split(",")]
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad metadata line: {exc}") from exc
+    for d in (du, dv):
+        if len(d) != 2 or not d[0] < d[1] or not math.isfinite(d[1] - d[0]):
+            raise FormatError(f"bad metadata line: domain {d} is not [lo,hi] with finite lo < hi")
 
-    if lines[1].replace(" ", "") != "u,v,x1,x2,x3,x4":
-        raise FormatError(f"bad header line '{lines[1]}'")
+    if header.replace(" ", "") != "u,v,x1,x2,x3,x4":
+        raise FormatError(f"bad header line '{header}'")
 
-    try:
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
-    except ValueError as exc:
-        raise FormatError(f"bad data row: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 6:
+    if data.shape[1] != 6:
         raise FormatError("each data row must have 6 columns")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        raise FormatError(f"non-finite value in data row {bad[0] + 1}: '{lines[2 + bad[0]]}'")
+        with open(path, "r", encoding="utf-8") as fh:
+            row = next(itertools.islice(_content_lines(fh), 2 + bad[0], None)).strip()
+        raise FormatError(f"non-finite value in data row {bad[0] + 1}: '{row}'")
 
     nodes_u = np.unique(data[:, 0])
     nodes_v = np.unique(data[:, 1])

@@ -178,7 +178,8 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
 
 def convergence_probe(surface: Surface, base_grid: QuadratureGrid,
                       rel_tol: float = 1e-9, max_doublings: int = 4):
-    """Genus reports at doubling resolutions until integral_f stabilizes.
+    """The integral of f(|Aring|) at doubling resolutions until it stabilizes,
+    evaluating each resolution once.
 
     Returns a list of (resolution, integral_f, rel_change) tuples; the first
     entry has rel_change = nan.
@@ -188,12 +189,12 @@ def convergence_probe(surface: Surface, base_grid: QuadratureGrid,
     prev = None
     grid = base_grid
     for _ in range(max_doublings + 1):
-        rep = genus_report(surface, grid)
-        change = math.nan if prev is None else abs(rep.integral_f - prev) / (1.0 + abs(rep.integral_f))
-        rows.append((grid.resolution, rep.integral_f, change))
+        integral_f = _integrals(*_node_data(surface, grid))[2]
+        change = math.nan if prev is None else abs(integral_f - prev) / (1.0 + abs(integral_f))
+        rows.append((grid.resolution, integral_f, change))
         if prev is not None and change < rel_tol:
             break
-        prev = rep.integral_f
+        prev = integral_f
         nu, nv = nu * 2, nv * 2
         grid = make_grid(surface, nu, nv)
     return rows

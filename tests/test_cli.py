@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from s3pinch import catalog
-from s3pinch.cli import build_parser, main, sweep_tori
+from s3pinch.cli import MAX_RESOLUTION, MAX_SAMPLES, build_parser, main, sweep_tori
 from s3pinch.gridio import export_grid
 from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
 from s3pinch.pinch import min_surface_maxA_bound
@@ -105,6 +105,8 @@ def test_solve_bad_args_exit_2(capsys):
     (["--tol", "inf", "check", "sphere:r=1.0"], "--tol"),
     (["--tol", "0", "check", "sphere:r=1.0"], "--tol"),
     (["--samples", "-5", "check", "sphere:r=1.0"], "--samples"),
+    (["--samples", str(MAX_SAMPLES + 1), "check", "sphere:r=1.0"], "--samples"),
+    (["--resolution", str(2 * MAX_RESOLUTION), "check", "sphere:r=1.0"], "--resolution"),
 ])
 def test_bad_global_flag_exits_2_with_one_line(capsys, argv, flag):
     assert main(["--resolution", "16", *argv]) == 2

@@ -1,13 +1,21 @@
 """Tests for grid export/import and finite-difference reconstruction."""
 
+import contextlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
-from s3pinch.errors import FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse
-from s3pinch.gridio import GridSurface, export_grid, import_surface
+from s3pinch.cli import main
+from s3pinch.errors import (
+    FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse, S3PinchError,
+)
+from s3pinch.gridio import GridSurface, _derivative, export_grid, import_surface
 from s3pinch.quadrature import genus_report
 
 
@@ -64,6 +72,94 @@ def test_point_only_defined_at_nodes(tmp_path):
     assert abs(np.linalg.norm(p.position) - 1.0) < 1e-12
     with pytest.raises(OffSampleGrid):
         gs.point(u0 + 1e-3, v0)
+
+
+def _reference_export(surface, nu, nv, path):
+    """The per-value writer export_grid replaced: one repr(float) per value."""
+    def nodes(domain, n, periodic):
+        lo, hi = domain
+        return lo + (hi - lo) * (np.arange(n) + (0.0 if periodic else 0.5)) / n
+
+    xu = nodes(surface.domain_u, nu, surface.periodic_u)
+    xv = nodes(surface.domain_v, nv, surface.periodic_v)
+    pos = surface.point(*np.meshgrid(xu, xv, indexing="ij")).position
+
+    def fmt(x):
+        return repr(float(x))
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"# periodic_u={str(surface.periodic_u).lower()} "
+            f"periodic_v={str(surface.periodic_v).lower()} "
+            f"domain_u=[{fmt(surface.domain_u[0])},{fmt(surface.domain_u[1])}] "
+            f"domain_v=[{fmt(surface.domain_v[0])},{fmt(surface.domain_v[1])}]\n"
+        )
+        fh.write("u,v,x1,x2,x3,x4\n")
+        for i in range(nu):
+            for j in range(nv):
+                row = [xu[i], xv[j], *pos[i, j]]
+                fh.write(",".join(fmt(x) for x in row) + "\n")
+    return xu, xv
+
+
+@pytest.mark.parametrize("surface, nu, nv", [(clifford_torus(), 32, 32),
+                                             (GeodesicSphere(1.1), 24, 40)])
+def test_export_bytes_match_reference_and_import_is_exact(tmp_path, surface, nu, nv):
+    path = tmp_path / "grid.csv"
+    export_grid(surface, nu, nv, path)
+    xu, xv = _reference_export(surface, nu, nv, tmp_path / "reference.csv")
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    gs = import_surface(path)
+    exact = surface.point(*np.meshgrid(xu, xv, indexing="ij")).position
+    assert np.array_equal(gs.nodes_u, xu) and np.array_equal(gs.nodes_v, xv)
+    assert np.array_equal(gs.positions, exact)
+
+
+def test_blank_lines_and_spaces_around_commas_import(tmp_path):
+    path, gs = _round_trip(tmp_path, GeodesicSphere(0.8), 16, 12)
+    lines = path.read_text().splitlines()
+    padded = [lines[0], "", lines[1].replace(",", " , ")]
+    for k, ln in enumerate(lines[2:]):
+        padded.append(ln.replace(",", " ,  ") if k % 2 else ln)
+        if k % 5 == 0:
+            padded.append("  \t" if k % 10 else "")
+    path.write_text("\n".join(padded) + "\n")
+    assert np.array_equal(import_surface(path).positions, gs.positions)
+    # Non-finite rows are numbered among the non-blank data rows.
+    padded[-1] = "nan," + padded[-1].split(",", 1)[1]
+    path.write_text("\n".join(padded) + "\n")
+    with pytest.raises(FormatError, match=f"data row {len(lines) - 2}:"):
+        import_surface(path)
+
+
+def _reference_derivative(values, axis, h, order, periodic):
+    """The per-row Vandermonde solve the vectorised stencil replaced."""
+    vals = np.moveaxis(values, axis, 0)
+    n = len(vals)
+    res = np.empty_like(vals)
+    rhs = np.zeros(7)
+    rhs[order] = math.factorial(order)
+    for i in range(n):
+        if periodic:
+            offs = np.arange(-3, 4)
+        else:
+            start = min(max(i - 3, 0), n - 7)
+            offs = np.arange(start, start + 7) - i
+        w = np.linalg.solve(np.vander(offs, 7, increasing=True).T, rhs)
+        res[i] = np.tensordot(w, vals[(i + offs) % n], axes=(0, 0))
+    return np.moveaxis(res, 0, axis) / h ** order
+
+
+@pytest.mark.parametrize("n", [7, 8, 32])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_derivative_matches_per_row_reference(n, order, periodic):
+    rng = np.random.default_rng(n * 10 + order)
+    for axis, shape in ((0, (n, 5, 4)), (1, (3, n, 4))):
+        values = rng.uniform(-1.0, 1.0, shape)
+        got = _derivative(values, axis, 1.0, order, periodic)
+        ref = _reference_derivative(values, axis, 1.0, order, periodic)
+        assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_sphere_chart_import_has_no_coarse_probe(tmp_path):
@@ -127,6 +223,16 @@ def test_missing_metadata_rejected(tmp_path):
         import_surface(path)
 
 
+@pytest.mark.parametrize("domain", ["[0.0]", "[0.0,1.0,2.0]", "[1.0,0.0]", "[0.0,inf]", "[nan,1.0]"])
+def test_bad_domain_metadata_rejected(tmp_path, domain):
+    path, _ = _round_trip(tmp_path, clifford_torus(), 16, 16)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].rsplit("=", 1)[0] + "=" + domain
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad metadata line"):
+        import_surface(path)
+
+
 def test_non_numeric_row_rejected(tmp_path):
     path, _ = _round_trip(tmp_path, clifford_torus(), 32, 32)
     lines = path.read_text().splitlines()
@@ -169,6 +275,85 @@ def test_nonuniform_spacing_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         import_surface(path)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed grid files
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    bases = []
+    for k, (surface, nu, nv) in enumerate([(clifford_torus(), 16, 16),
+                                           (GeodesicSphere(1.0), 16, 24)]):
+        export_grid(surface, nu, nv, root / f"base{k}.csv")
+        bases.append((root / f"base{k}.csv").read_text().splitlines())
+    return root / "fuzz.csv", bases
+
+
+_JUNK = st.sampled_from(["", " ", "junk", "nan", "-inf", "1e999", "0x10", "1_0", "#", "1;2", "1,2"])
+
+
+@st.composite
+def _mutations(draw):
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["token", "drop_col", "add_col", "delete", "truncate",
+                                     "blank", "spaces"]))
+        edits.append((kind, draw(st.integers(0, 10 ** 6)), draw(_JUNK)))
+    bad_utf8 = draw(st.none() | st.tuples(st.integers(0, 10 ** 6),
+                                          st.sampled_from([b"\xff", b"\xc3\x28", b"\x80"])))
+    return draw(st.integers(0, 1)), edits, bad_utf8
+
+
+def _mutate(lines, edits, bad_utf8):
+    lines = list(lines)
+    for kind, at, junk in edits:
+        i = at % len(lines)
+        cols = lines[i].split(",")
+        if kind == "token":
+            cols[at % len(cols)] = junk
+        elif kind == "drop_col":
+            cols.pop()
+        elif kind == "add_col":
+            cols.append("0.5")
+        elif kind == "spaces":
+            cols = [f" {c}\t" for c in cols]
+        lines[i] = ",".join(cols)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "truncate":
+            lines = lines[:i + 1]
+            lines[i] = lines[i][:at % (len(lines[i]) + 1)]
+        elif kind == "blank":
+            lines.insert(i, junk if junk.isspace() else "")
+        if not lines:
+            break
+    data = ("\n".join(lines) + "\n").encode()
+    if bad_utf8 is not None:
+        at = bad_utf8[0] % (len(data) + 1)
+        data = data[:at] + bad_utf8[1] + data[at:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_mutations())
+def test_fuzzed_grid_file_fails_cleanly(fuzz_files, case):
+    path, bases = fuzz_files
+    base, edits, bad_utf8 = case
+    path.write_bytes(_mutate(bases[base], edits, bad_utf8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second stderr line
+        try:
+            import_surface(path)
+        except S3PinchError:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--samples", "1000", "import", str(path)])
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,23 @@ def test_convergence_probe_sphere_integral_f_stays_zero():
     assert all(abs(v) < 1e-12 for _, v, _ in rows)
 
 
+class _CountingSphere(GeodesicSphere):
+    def __init__(self, r):
+        super().__init__(r)
+        self.point_shapes = []
+
+    def point(self, u, v):
+        self.point_shapes.append(np.shape(u))
+        return super().point(u, v)
+
+
+def test_convergence_probe_evaluates_each_resolution_once():
+    surface = _CountingSphere(0.9)
+    rows = convergence_probe(surface, make_grid(surface, 8, 8))
+    assert len(rows) >= 2
+    assert surface.point_shapes == [(8 * 2 ** k, 8 * 2 ** k) for k in range(len(rows))]
+
+
 class _CoarseDegenerateTorus(FlatTorus):
     """Evaluates normally at 32x32 and fails the metric check on coarser grids."""
 
