@@ -1,17 +1,18 @@
 """Curvature, genus bounds and tube volumes for surfaces in the unit 3-sphere."""
 
 from .errors import (
-    BracketFailure, ChainViolation, DegenerateMetric, DomainError, FormatError,
-    GenusDetectionFailure, ImmersionFailure, NoSpectralData, NotMinimal,
-    OffSampleGrid, OffSphere, ResolutionTooCoarse, S3PinchError,
+    BracketFailure, DegenerateMetric, DomainError, FormatError, GenusDetectionFailure,
+    ImmersionFailure, NoSpectralData, NotMinimal, OffSampleGrid, OffSphere,
+    ResolutionTooCoarse, S3PinchError,
 )
 from .geometry import (
     CurvatureData, SurfacePoint, cross4, curvature_at, flip_orientation,
     tangent_normal_frame,
 )
 from .pinch import (
-    RootResult, acot, beta_pinch, beta_solve, cubic_gap, eigenvalue_bound_rhs,
-    f_derivative, f_inverse, f_pinch, f_series, hk_integrand, hk_time_integral,
+    RootResult, acot, at_most, beta_pinch, beta_solve, beta_target, cubic_gap,
+    eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series,
+    hk_integrand, hk_time_integral,
     lemma3_F, lemma3_d2Fdtds, lemma3_dFds, lemma3_gap, min_surface_maxA_bound,
     prop1_integrand,
 )
@@ -24,7 +25,7 @@ from .quadrature import (
     integrate, make_grid,
 )
 from .tube import (
-    TubeReport, focal_time, monte_carlo_volume, normal_geodesic,
+    ChainReport, TubeReport, focal_time, monte_carlo_volume, normal_geodesic,
     side_upper_bound, verify_sum_inequality,
 )
 from .gridio import GridSurface, export_grid, import_surface

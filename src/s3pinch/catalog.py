@@ -36,6 +36,9 @@ class Surface:
     periodic_u: bool = True
     periodic_v: bool = True
     is_minimal: bool = False
+    # True when the surface is known only at its sample nodes, so a coarser
+    # grid re-reads the same samples and cannot measure discretisation error.
+    sampled: bool = False
 
     # Closed-form data, None when unavailable.
     exact_area: float | None = None

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import catalog, gridio, pinch, quadrature, tube
 from .errors import (
-    BracketFailure, ChainViolation, DegenerateMetric, DomainError, FormatError,
+    BracketFailure, DegenerateMetric, DomainError, FormatError,
     GenusDetectionFailure, ImmersionFailure, NoSpectralData, NotMinimal,
 )
 
@@ -30,6 +30,9 @@ FD_FLOOR_TOL = 1e-4
 # 2048^2. Monte-Carlo draws are tiled, so the sample cap bounds run time only.
 MAX_RESOLUTION = 2048
 MAX_SAMPLES = 10 ** 9
+MAX_SWEEP_STEPS = 10 ** 4
+# (fewest, most) positional arguments of each `solve`.
+SOLVE_ARITY = {"beta": (2, 2), "finv": (1, 1), "maxA": (1, 2)}
 
 _PARSE_ERRORS = (DomainError, FormatError, NotMinimal, NoSpectralData, ValueError)
 _NUMERIC_ERRORS = (DegenerateMetric, GenusDetectionFailure, BracketFailure,
@@ -80,53 +83,26 @@ def _provenance(args) -> dict:
     }
 
 
-def _validate_resolution(n: int) -> int:
+def _validate_resolution(n: int) -> None:
     if not 8 <= n <= MAX_RESOLUTION or n & (n - 1) != 0:
         raise DomainError(f"--resolution must be a power of 2 in [8, {MAX_RESOLUTION}], got {n}")
-    return n
 
 
-def _check_surface(surface, grid, args) -> tuple[dict, int]:
-    tol = args.tol
-    nodes = quadrature._node_data(surface, grid)
-    rep = quadrature.genus_report(surface, grid, nodes=nodes)
-    chain_error = None
-    tubes = ()
-    try:
-        tubes = tube.verify_sum_inequality(surface, grid,
-                                           mc_samples=args.samples, seed=args.seed,
-                                           tol=tol, nodes=nodes, report=rep)
-    except ChainViolation as exc:
-        chain_error = str(exc)
-
-    checks = {
-        "theorem2": rep.slack >= -tol * (1.0 + abs(rep.bound_rhs)),
-        "cubic": rep.cubic_rhs >= rep.cubic_lhs - tol * (1.0 + abs(rep.cubic_rhs)),
-        "sum_chain": chain_error is None,
-    }
-    for t in tubes:
-        if t.exact_volume is not None:
-            checks[f"hk_side{t.side}"] = t.hk_upper >= t.exact_volume - tol * (1.0 + t.exact_volume)
-
-    doc = {
-        **_provenance(args),
-        "command": "check",
-        "surface": surface.name,
-        "genus_report": rep,
-        "tube_reports": list(tubes),
-        "checks": checks,
-        "chain_error": chain_error,
-        "pass": all(checks.values()),
-    }
-    return doc, EXIT_OK if doc["pass"] else EXIT_BOUND
+def _check_surface(surface, grid, args) -> int:
+    cert = tube.verify_sum_inequality(surface, grid, mc_samples=args.samples,
+                                      seed=args.seed, tol=args.tol)
+    passed = all(cert.checks.values())
+    _emit({**_provenance(args), "command": "check", "surface": surface.name,
+           **vars(cert), "pass": passed}, args.format)
+    return EXIT_OK if passed else EXIT_BOUND
 
 
 def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int):
     """Theorem-2 slack across the flat-torus family; rows for cmd_sweep_tori."""
     if not (0.0 < a_min < a_max < 1.0):
         raise DomainError("need 0 < a_min < a_max < 1")
-    if steps < 2:
-        raise DomainError("need at least 2 steps")
+    if not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise DomainError(f"steps must be in [2, {MAX_SWEEP_STEPS}], got {steps}")
     rows = []
     for a in np.linspace(a_min, a_max, steps):
         surface = catalog.FlatTorus(float(a))
@@ -145,19 +121,18 @@ def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int):
 def _cmd_check(args) -> int:
     surface = catalog.parse_surface(args.surface)
     grid = quadrature.make_grid(surface, args.resolution, args.resolution)
-    doc, code = _check_surface(surface, grid, args)
-    _emit(doc, args.format)
-    return code
+    return _check_surface(surface, grid, args)
 
 
 def _cmd_import(args) -> int:
-    surface = gridio.import_surface(args.file)
+    try:
+        surface = gridio.import_surface(args.file)
+    except OSError as exc:  # a missing file, a directory, no permission
+        return _fail(f"error: cannot read grid file: {exc}", EXIT_USAGE)
     # Curvatures of an imported grid carry finite-difference error, so the
     # certificate tolerance cannot be tighter than the FD floor.
-    args = argparse.Namespace(**{**vars(args), "tol": max(args.tol, FD_FLOOR_TOL)})
-    doc, code = _check_surface(surface, surface.natural_grid(), args)
-    _emit(doc, args.format)
-    return code
+    args.tol = max(args.tol, FD_FLOOR_TOL)
+    return _check_surface(surface, surface.natural_grid(), args)
 
 
 def _cmd_sweep(args) -> int:
@@ -168,18 +143,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    lo, hi = SOLVE_ARITY[args.what]
+    if not lo <= len(args.args) <= hi:
+        count = str(lo) if lo == hi else f"{lo} or {hi}"
+        raise DomainError(f"solve {args.what} takes {count} argument(s), got {len(args.args)}")
     if args.what == "beta":
-        result = pinch.beta_solve(int(args.args[0]), float(args.args[1]))
-        target = 2.0 * int(args.args[0]) * math.pi ** 2 / float(args.args[1])
+        g0, area = int(args.args[0]), float(args.args[1])
+        target = pinch.beta_target(g0, area)
+        result = pinch.beta_solve(g0, area)
     elif args.what == "finv":
-        result = pinch.f_inverse(float(args.args[0]))
         target = float(args.args[0])
-    elif args.what == "maxA":
+        result = pinch.f_inverse(target)
+    else:  # maxA
         ambient = float(args.args[1]) if len(args.args) > 1 else pinch.S3_VOLUME
         target = pinch.min_surface_maxA_target(int(args.args[0]), ambient)
         result = pinch.f_inverse(target)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown solve '{args.what}'")
     doc = {**_provenance(args), "command": f"solve {args.what}",
            "target": target, "result": result}
     _emit(doc, args.format)
@@ -235,9 +213,9 @@ def _cmd_eigen(args) -> int:
             "improved": bound_improved,
         },
         "holds": {
-            "pinching": lam_area <= bound_pinch + args.tol * (1.0 + bound_pinch),
-            "yang_yau": lam_area <= bound_yy + args.tol,
-            "improved": lam_area <= bound_improved + args.tol,
+            "pinching": pinch.at_most(lam_area, bound_pinch, args.tol),
+            "yang_yau": pinch.at_most(lam_area, bound_yy, args.tol),
+            "improved": pinch.at_most(lam_area, bound_improved, args.tol),
         },
         "equality_discrepancy": clifford_note,
     }
@@ -245,8 +223,13 @@ def _cmd_eigen(args) -> int:
     return EXIT_OK if all(doc["holds"].values()) else EXIT_BOUND
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line from main instead of the usage text
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="s3pinch",
         description="Genus, curvature and tube-volume certificates for "
                     "surfaces in the unit 3-sphere.",
@@ -257,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, default=tube.DEFAULT_SAMPLES,
                         help=f"Monte-Carlo sample count (<= {MAX_SAMPLES:.0e})")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=tube.CHAIN_TOL,
                         help="acceptance tolerance for inequality checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -271,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("steps", type=int)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("solve", help="scalar solves: beta, finv, maxA")
-    p.add_argument("what", choices=("beta", "finv", "maxA"))
+    p = sub.add_parser("solve", help="scalar solves: beta g0 area, finv y, maxA g [ambient]")
+    p.add_argument("what", choices=tuple(SOLVE_ARITY))
     p.add_argument("args", nargs="+")
     p.set_defaults(func=_cmd_solve)
 
@@ -291,6 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    # User text quoted in a message (a spec, a path) may hold line breaks.
+    print(message.replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -302,16 +291,11 @@ def main(argv=None) -> int:
         _validate_resolution(args.resolution)
         return args.func(args)
     except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ChainViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+        return _fail(f"error: {exc}", EXIT_USAGE)
     except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return _fail(f"numerical failure: {exc}", EXIT_NUMERIC)
+    except SystemExit:  # --help; usage errors raise DomainError through _Parser
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class GenusDetectionFailure(S3PinchError):
     """Integrated curvature is too far from an even multiple of 2*pi."""
 
 
-class ChainViolation(S3PinchError):
-    """A link of the tube-volume inequality chain failed numerically."""
-
-
 class NotMinimal(S3PinchError):
     """Operation requires a minimal surface (H == 0)."""
 

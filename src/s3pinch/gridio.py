@@ -64,6 +64,8 @@ def _derivative(values: np.ndarray, axis: int, h: float, order: int,
 class GridSurface(Surface):
     """Surface defined by position samples on a uniform parameter grid."""
 
+    sampled = True
+
     def __init__(self, nodes_u, nodes_v, positions, domain_u, domain_v,
                  periodic_u, periodic_v, name="imported"):
         self.nodes_u = np.asarray(nodes_u, dtype=float)

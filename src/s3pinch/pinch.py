@@ -35,6 +35,11 @@ class RootResult:
     iterations: int
 
 
+def at_most(lhs: float, rhs: float, tol: float) -> bool:
+    """lhs <= rhs + tol*(1 + |rhs|): the acceptance rule of every certificate."""
+    return bool(lhs <= rhs + tol * (1.0 + abs(rhs)))
+
+
 def _require_finite(*xs) -> None:
     for x in xs:
         if not np.all(np.isfinite(x)):
@@ -289,16 +294,20 @@ def beta_pinch(b):
     return out if out.ndim else float(out)
 
 
-def beta_solve(g0: int, area: float) -> RootResult:
-    """Solve beta + (beta^2 - 1)*atan(beta) = 2*g0*pi^2 / area for beta >= 0."""
+def beta_target(g0: int, area: float) -> float:
+    """Right side 2*g0*pi^2 / area of the equation beta_solve solves."""
     if not isinstance(g0, (int, np.integer)) or g0 < 1:
         raise DomainError("g0 must be a positive integer")
     _require_finite(area)
     if area <= 0:
         raise DomainError("area must be positive")
-    rhs = 2.0 * g0 * math.pi ** 2 / area
+    return 2.0 * g0 * math.pi ** 2 / area
+
+
+def beta_solve(g0: int, area: float) -> RootResult:
+    """Solve beta + (beta^2 - 1)*atan(beta) = beta_target(g0, area) for beta >= 0."""
     dphi = lambda b: 2.0 * b * math.atan(b) + 2.0 * b * b / (1.0 + b * b)
-    return solve_increasing(beta_pinch, rhs, dfunc=dphi)
+    return solve_increasing(beta_pinch, beta_target(g0, area), dfunc=dphi)
 
 
 def min_surface_maxA_target(g: int, ambient_volume: float = S3_VOLUME) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenusDetectionFailure, NotMinimal, OffSampleGrid
+from .errors import GenusDetectionFailure, NotMinimal
 from .geometry import curvature_at
 from .pinch import FOUR_PI_SQ, SQRT2, f_pinch
 from .catalog import Surface
@@ -103,7 +103,8 @@ class GenusReport:
     slack: float
     cubic_lhs: float        # 2 pi^2 genus
     cubic_rhs: float        # (sqrt(2)/3) integral of |Aring|^3
-    convergence: float      # relative change of integral_f under grid halving
+    convergence: float      # relative change of integral_f under grid halving (nan if
+                            # below 16 nodes or the surface is only sampled)
     resolution: tuple[int, int]
     # Gap-theorem certificate, populated for minimal surfaces only.
     gap_integral: float | None = None   # integral of |A|^3
@@ -149,12 +150,9 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
 
     convergence = math.nan
     nu, nv = grid.resolution
-    if nu >= 16 and nv >= 16:
-        try:
-            coarse_f = _integrals(*_node_data(surface, make_grid(surface, nu // 2, nv // 2)))[2]
-            convergence = abs(integral_f - coarse_f) / (1.0 + abs(integral_f))
-        except OffSampleGrid:
-            pass  # an imported grid has no samples at the coarse nodes
+    if nu >= 16 and nv >= 16 and not surface.sampled:
+        coarse_f = _integrals(*_node_data(surface, make_grid(surface, nu // 2, nv // 2)))[2]
+        convergence = abs(integral_f - coarse_f) / (1.0 + abs(integral_f))
 
     bound_lhs = FOUR_PI_SQ * genus
     return GenusReport(

@@ -1,16 +1,23 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from s3pinch import catalog
-from s3pinch.cli import MAX_RESOLUTION, MAX_SAMPLES, build_parser, main, sweep_tori
+from s3pinch import catalog, quadrature
+from s3pinch.cli import (
+    MAX_RESOLUTION, MAX_SAMPLES, MAX_SWEEP_STEPS, build_parser, main, sweep_tori,
+)
 from s3pinch.gridio import export_grid
 from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
-from s3pinch.pinch import min_surface_maxA_bound
+from s3pinch.pinch import beta_target, min_surface_maxA_bound
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -57,6 +64,21 @@ def test_check_perturbed_sphere(capsys):
     assert doc["genus_report"]["slack"] > 0.0
 
 
+def test_wrong_exact_volume_fails_hk_link_and_reports_everything(capsys, monkeypatch):
+    surface = FlatTorus(0.6)
+    v1, v2 = surface.exact_side_volumes
+    surface.exact_side_volumes = (1.01 * v1, v2)
+    monkeypatch.setattr(catalog, "parse_surface", lambda spec: surface)
+    code, doc = run_json(capsys, "--resolution", "32", "--samples", "1000",
+                         "check", "torus:a=0.6")
+    assert code == 3 and doc["pass"] is False
+    assert doc["checks"]["hk_side1"] is False
+    assert doc["checks"]["hk_side2"] is True and doc["checks"]["sum_bound"] is True
+    assert [t["side"] for t in doc["tube_reports"]] == [1, 2]
+    assert doc["tube_reports"][0]["exact_volume"] == 1.01 * v1
+    assert doc["genus_report"]["genus"] == 1
+
+
 def test_check_bad_surface_spec_exits_2(capsys):
     assert main(["check", "torus:a=2.0"]) == 2
     assert main(["check", "blob:q=1"]) == 2
@@ -81,6 +103,7 @@ def test_solve_beta(capsys):
     area = 2.0 * math.pi ** 2
     code, doc = run_json(capsys, "solve", "beta", "2", str(area))
     assert code == 0
+    assert doc["target"] == beta_target(2, area)
     assert doc["result"]["value"] == pytest.approx(1.3186938761353901, rel=1e-10)
 
 
@@ -98,6 +121,12 @@ def test_solve_bad_args_exit_2(capsys):
     assert main(["solve", "finv", "-1.0"]) == 2
     assert main(["solve", "beta", "0", "1.0"]) == 2
     assert main(["solve", "maxA", "0"]) == 2
+    capsys.readouterr()
+    # Too few or too many arguments for the chosen solve.
+    for argv in (["beta", "1"], ["finv", "1", "2"], ["maxA", "2", "5", "7"], ["beta"]):
+        assert main(["solve", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -181,6 +210,15 @@ def test_sweep_tori_cli(capsys):
     assert all(r["slack"] >= -1e-10 for r in rows)
 
 
+def test_sweep_steps_above_cap_exit_2_without_sweeping(capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(quadrature, "make_grid", no_grid)
+    assert main(["sweep-tori", "0.5", "0.9", str(MAX_SWEEP_STEPS + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(MAX_SWEEP_STEPS) in err
+
+
 def test_sweep_tori_library_minimum_near_clifford():
     rows = sweep_tori(0.5, 0.9, 41, 16)
     best = min(rows, key=lambda r: r["slack"])
@@ -212,6 +250,12 @@ def test_import_bad_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not,a,grid\n")
     assert main(["import", str(path)]) == 2
+    capsys.readouterr()
+    # A missing file and a directory get the same one-line exit 2.
+    for target in (tmp_path / "missing.csv", tmp_path):
+        assert main(["import", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("nu, nv, rows", [(32, 32, 1), (32, 5, None)])
@@ -303,9 +347,54 @@ def test_text_format_runs(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["check", "sphere:r=1.0"])
     assert args.surface == "sphere:r=1.0"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every input ends in a known exit code and at most one line
+# ---------------------------------------------------------------------------
+
+_SPECS = st.sampled_from([
+    "torus:a=0.6", f"torus:a={SQRT_HALF!r}", "sphere:r=1.0", f"sphere:r={math.pi / 2!r}",
+    "psphere:r=1.0,eps=0.1,l=2,m=0", "psphere:r=1.2,eps=-0.08,l=3,m=1",
+    "torus:a=2", "torus:a=nan", "sphere:r=inf", "psphere:r=1.0,eps=0.5,l=2,m=0",
+    "psphere:r=1.0,eps=0.1,l=2,m=5", "psphere:r=1,eps=0.1,l=-1,m=0", "blob:q=1",
+    "torus:", "torus:a=0.6,a=0.7", "sphere:r=1e-9", "torus:a=0.6\nx", "",
+]) | st.text(max_size=12)
+_NUMBERS = st.one_of(
+    st.sampled_from(["0.5", "0.9", "0.3", "0.999999", "1e-300", "2", "x", "", "1e400", "-0"]),
+    st.integers(-3, 5).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_FLAGS = st.tuples(
+    st.sampled_from(["8", "16", "32", "33", "0", "-8", "x"]),
+    st.sampled_from(["0", "100", "1000", "-1", "x"]),
+    st.sampled_from([[], ["--tol", "1e-8"], ["--tol", "0.5"], ["--tol", "-1"], ["--seed", "-1"],
+                     ["--seed", "7"], ["--format", "csv"], ["--format", "text"],
+                     ["--format", "xml"]]),
+).map(lambda f: ["--resolution", f[0], "--samples", f[1], *f[2]])
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["check", "gap", "eigen"]), _SPECS).map(list),
+    st.tuples(st.just("solve"), st.sampled_from(["beta", "finv", "maxA", "zeta"]),
+              st.lists(_NUMBERS, max_size=3)).map(lambda c: [c[0], c[1], *c[2]]),
+    st.tuples(st.just("sweep-tori"), _NUMBERS, _NUMBERS,
+              (st.integers(-2, 4) | st.just(MAX_SWEEP_STEPS + 1)).map(str)).map(list),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=_FLAGS, command=_COMMANDS)
+def test_fuzzed_argv_exits_cleanly(flags, command):
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second stderr line
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*flags, *command])
+    assert code in (0, 2, 3, 4)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 import warnings
 
@@ -16,7 +17,8 @@ from s3pinch.errors import (
     FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse, S3PinchError,
 )
 from s3pinch.gridio import GridSurface, _derivative, export_grid, import_surface
-from s3pinch.quadrature import genus_report
+from s3pinch.pinch import f_pinch
+from s3pinch.quadrature import genus_report, make_grid
 
 
 def _round_trip(tmp_path, surface, nu, nv, name="grid.csv"):
@@ -167,6 +169,21 @@ def test_sphere_chart_import_has_no_coarse_probe(tmp_path):
     # chart, so the convergence probe is skipped rather than failed.
     _, gs = _round_trip(tmp_path, GeodesicSphere(1.0), 32, 32)
     assert math.isnan(genus_report(gs, gs.natural_grid()).convergence)
+
+
+def test_periodic_import_reports_no_convergence(tmp_path, capsys):
+    # Half-resolution nodes of an imported torus are every other sample, so a
+    # probe would re-read the same finite-difference derivatives (change
+    # ~1e-15) while integral_f is off its closed form by ~1e-8.
+    s = FlatTorus(0.55)
+    path, gs = _round_trip(tmp_path, s, 64, 64)
+    rep = genus_report(gs, gs.natural_grid())
+    exact = f_pinch((s.a / s.b + s.b / s.a) / math.sqrt(2.0)) * s.exact_area
+    assert abs(rep.integral_f - exact) > 1e-9 * exact
+    assert math.isnan(rep.convergence)
+    assert genus_report(s, make_grid(s, 64, 64)).convergence < 1e-12
+    assert main(["--samples", "1000", "import", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["genus_report"]["convergence"] is None
 
 
 @pytest.mark.parametrize("row, col, text", [(0, 2, "nan"), (37, 5, "inf"), (1023, 0, "-inf"),

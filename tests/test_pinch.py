@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from s3pinch import (
-    BracketFailure, DomainError, acot, beta_pinch, beta_solve, cubic_gap,
-    eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series,
+    BracketFailure, DomainError, acot, at_most, beta_pinch, beta_solve, beta_target,
+    cubic_gap, eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series,
     hk_integrand, hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds,
     lemma3_gap, min_surface_maxA_bound, prop1_integrand,
 )
@@ -255,6 +255,23 @@ class TestBetaSolve:
             beta_solve(0, 1.0)
         with pytest.raises(DomainError):
             beta_solve(1, -1.0)
+
+    def test_target_is_the_solved_right_side(self):
+        assert beta_target(2, 2 * math.pi ** 2) == 2.0
+        res = beta_solve(3, 5.0)
+        assert beta_pinch(res.value) == pytest.approx(beta_target(3, 5.0), rel=1e-11)
+        with pytest.raises(DomainError):
+            beta_target(1, float("inf"))
+
+
+def test_at_most_scales_tol_by_one_plus_abs_rhs():
+    assert at_most(1.0, 1.0, 0.0) and not at_most(1.0 + 1e-15, 1.0, 0.0)
+    # 100 * (1 + 1e-8) is within tol = 1e-8 of 100 only once the tolerance
+    # is scaled by 1 + |rhs| (a bare tol would reject it).
+    assert at_most(100.0 + 5e-7, 100.0, 1e-8)
+    assert not at_most(100.0 + 2e-6, 100.0, 1e-8)
+    assert at_most(-1.0, -1.0 - 1e-9, 1e-8) and not at_most(-1.0, -1.1, 1e-8)
+    assert type(at_most(np.float64(1.0), np.float64(2.0), 1e-8)) is bool
 
 
 class TestMaxABound:

@@ -8,12 +8,13 @@ import pytest
 from s3pinch.catalog import (
     FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus, sample_s3,
 )
-from s3pinch.errors import ChainViolation, DomainError
+from s3pinch.errors import DomainError
 from s3pinch.quadrature import make_grid
 from s3pinch.tube import (
     FOUR_PI_SQ,
     MC_TILE,
     S3_VOLUME,
+    ChainReport,
     TubeReport,
     focal_time,
     monte_carlo_volume,
@@ -109,7 +110,9 @@ def test_side_upper_bound_rejects_bad_side():
 def test_chain_equality_on_clifford():
     s = clifford_torus()
     grid = make_grid(s, 32, 32)
-    r1, r2 = verify_sum_inequality(s, grid)
+    cert = verify_sum_inequality(s, grid)
+    assert isinstance(cert, ChainReport) and all(cert.checks.values())
+    r1, r2 = cert.tube_reports
     assert isinstance(r1, TubeReport) and isinstance(r2, TubeReport)
     # Minimal equality case: the sum bound saturates at 2|M| = 4 pi^2.
     assert r1.sum_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
@@ -128,7 +131,7 @@ def test_chain_on_spheres():
     for r in (math.pi / 4, math.pi / 2, 2.0):
         s = GeodesicSphere(r)
         grid = make_grid(s, 64, 64)
-        r1, r2 = verify_sum_inequality(s, grid)
+        r1, r2 = verify_sum_inequality(s, grid).tube_reports
         assert r1.prop1_lhs == 0.0  # genus 0
         assert r1.hk_upper == pytest.approx(r1.exact_volume, rel=1e-9)
         assert r2.hk_upper == pytest.approx(r2.exact_volume, rel=1e-9)
@@ -143,7 +146,7 @@ def test_chain_saturates_on_every_flat_torus():
     for a in (0.3, 0.6, 0.9):
         s = FlatTorus(a)
         grid = make_grid(s, 32, 32)
-        r1, _ = verify_sum_inequality(s, grid)
+        r1, _ = verify_sum_inequality(s, grid).tube_reports
         assert r1.sum_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
         assert r1.prop1_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
         assert r1.prop1_lhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
@@ -152,7 +155,7 @@ def test_chain_saturates_on_every_flat_torus():
 def test_chain_on_perturbed_sphere():
     s = PerturbedSphere(math.pi / 3, 0.1, 2, 0)
     grid = make_grid(s, 64, 64)
-    r1, r2 = verify_sum_inequality(s, grid)
+    r1, r2 = verify_sum_inequality(s, grid).tube_reports
     assert r1.sum_rhs > FOUR_PI_SQ
     assert r1.prop1_lhs == 0.0
     assert r1.prop1_rhs > 0.0
@@ -169,8 +172,10 @@ def test_chain_violation_on_doctored_report():
         weights=0.5 * grid.weights,
         periodic_u=grid.periodic_u, periodic_v=grid.periodic_v,
     )
-    with pytest.raises(ChainViolation):
-        verify_sum_inequality(s, doctored)
+    cert = verify_sum_inequality(s, doctored)
+    assert cert.checks["sum_bound"] is False
+    assert not all(cert.checks.values())
+    assert len(cert.tube_reports) == 2  # every link is still reported
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ def test_tiled_monte_carlo_equals_whole_draw(surface):
 def test_verify_mc_volumes_bit_identical_to_whole_draw():
     s = FlatTorus(0.6)
     n, seed = MC_TILE + 4321, 5
-    r1, r2 = verify_sum_inequality(s, make_grid(s, 16, 16), mc_samples=n, seed=seed)
+    r1, r2 = verify_sum_inequality(s, make_grid(s, 16, 16), mc_samples=n, seed=seed).tube_reports
     expected = _whole_draw_volumes(s, sample_s3(n, np.random.Generator(np.random.Philox(seed))))
     assert r1.mc_volume == expected[0]
     assert r2.mc_volume == expected[1]
@@ -244,7 +249,7 @@ def test_verify_mc_volumes_bit_identical_to_whole_draw():
 def test_verify_with_mc_attached():
     s = FlatTorus(0.6)
     grid = make_grid(s, 32, 32)
-    r1, r2 = verify_sum_inequality(s, grid, mc_samples=100_000, seed=5)
+    r1, r2 = verify_sum_inequality(s, grid, mc_samples=100_000, seed=5).tube_reports
     for rep in (r1, r2):
         est, err = rep.mc_volume
         assert abs(est - rep.exact_volume) < 4.0 * err
