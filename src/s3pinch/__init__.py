@@ -6,27 +6,25 @@ from .errors import (
     ResolutionTooCoarse, S3PinchError,
 )
 from .geometry import (
-    CurvatureData, SurfacePoint, cross4, curvature_at, flip_orientation,
-    tangent_normal_frame,
+    CurvatureData, SurfacePoint, cross4, curvature_at, tangent_normal_frame,
 )
 from .pinch import (
     RootResult, acot, at_most, beta_pinch, beta_solve, beta_target, cubic_gap,
-    eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series,
-    hk_integrand, hk_time_integral,
+    eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series, hk_time_integral,
     lemma3_F, lemma3_d2Fdtds, lemma3_dFds, lemma3_gap, min_surface_maxA_bound,
     prop1_integrand,
 )
 from .catalog import (
-    FiniteDifferenceSurface, FlatTorus, GeodesicSphere, PerturbedSphere,
-    Surface, clifford_torus, parse_surface, sample_s3,
+    FlatTorus, GeodesicSphere, PerturbedSphere, Surface, clifford_torus,
+    parse_surface, sample_s3,
 )
 from .quadrature import (
     GenusReport, QuadratureGrid, convergence_probe, gap_integral, genus_report,
-    integrate, make_grid,
+    make_grid,
 )
 from .tube import (
-    ChainReport, TubeReport, focal_time, monte_carlo_volume, normal_geodesic,
-    side_upper_bound, verify_sum_inequality,
+    ChainReport, TubeReport, monte_carlo_volume, side_upper_bound,
+    verify_sum_inequality,
 )
 from .gridio import GridSurface, export_grid, import_surface
 

@@ -265,48 +265,6 @@ class PerturbedSphere(Surface):
         return psi < self._rho(phi, theta)
 
 
-class FiniteDifferenceSurface(Surface):
-    """Wraps a bare position map with central-difference partials.
-
-    Step size follows the usual optimal-tradeoff rule
-    h = max(|x|, 1) * eps_machine^(1/3); second partials are nested central
-    differences of the position map.
-    """
-
-    def __init__(self, position, domain_u, domain_v, periodic_u=True, periodic_v=True,
-                 name="fd-surface"):
-        self._position = position
-        self.domain_u = domain_u
-        self.domain_v = domain_v
-        self.periodic_u = periodic_u
-        self.periodic_v = periodic_v
-        self.name = name
-
-    @staticmethod
-    def _step(x: np.ndarray) -> np.ndarray:
-        return np.maximum(np.abs(x), 1.0) * np.finfo(float).eps ** (1.0 / 3.0)
-
-    def point(self, u, v) -> SurfacePoint:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
-        f = lambda uu, vv: np.asarray(self._position(uu, vv), dtype=float)
-        hu = self._step(u)
-        hv = self._step(v)
-        # Trailing 4-vector axis: divide by steps with an added axis.
-        hu4 = hu[..., np.newaxis] if hu.ndim else hu
-        hv4 = hv[..., np.newaxis] if hv.ndim else hv
-
-        pos = f(u, v)
-        du = (f(u + hu, v) - f(u - hu, v)) / (2.0 * hu4)
-        dv = (f(u, v + hv) - f(u, v - hv)) / (2.0 * hv4)
-        duu = (f(u + hu, v) - 2.0 * pos + f(u - hu, v)) / hu4 ** 2
-        dvv = (f(u, v + hv) - 2.0 * pos + f(u, v - hv)) / hv4 ** 2
-        duv = (f(u + hu, v + hv) - f(u + hu, v - hv)
-               - f(u - hu, v + hv) + f(u - hu, v - hv)) / (4.0 * hu4 * hv4)
-        return SurfacePoint(pos, du, dv, duu, duv, dvv)
-
-
 def sample_s3(n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform samples on S^3 via normalized 4-d Gaussian draws."""
     x = rng.normal(size=(n, 4))

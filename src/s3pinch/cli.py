@@ -58,17 +58,11 @@ def _jsonable(obj):
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(_jsonable(doc), sort_keys=True, indent=2))
-    elif fmt == "csv":
-        rows = doc.get("rows")
-        if rows:
-            cols = list(rows[0])
-            print(",".join(cols))
-            for row in rows:
-                print(",".join(repr(_jsonable(row[c])) for c in cols))
-        else:
-            flat = _jsonable(doc)
-            print(",".join(str(k) for k in sorted(flat)))
-            print(",".join(repr(flat[k]) for k in sorted(flat)))
+    elif fmt == "csv":  # `main` allows csv only for row documents (sweep-tori)
+        cols = list(doc["rows"][0])
+        print(",".join(cols))
+        for row in doc["rows"]:
+            print(",".join(repr(_jsonable(row[c])) for c in cols))
     else:
         for key, val in sorted(_jsonable(doc).items()):
             print(f"{key}: {val}")
@@ -284,6 +278,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and args.command != "sweep-tori":
+            raise DomainError(f"--format csv applies to sweep-tori only, not {args.command}")
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise DomainError(f"--tol must be finite and positive, got {args.tol}")
         if not 0 <= args.samples <= MAX_SAMPLES:

@@ -46,7 +46,6 @@ class CurvatureData:
     H: np.ndarray
     traceless_norm: np.ndarray
     gauss_K: np.ndarray
-    normal: np.ndarray
     area_element: np.ndarray  # sqrt(E*G - F^2)
 
 
@@ -142,19 +141,6 @@ def curvature_at(p: SurfacePoint) -> CurvatureData:
         H=mean,
         traceless_norm=(k2 - k1) / np.sqrt(2.0),
         gauss_K=1.0 + k1 * k2,
-        normal=nu,
         area_element=sqrt_det,
     )
 
-
-def flip_orientation(c: CurvatureData) -> CurvatureData:
-    """Curvature data with respect to the opposite unit normal."""
-    return CurvatureData(
-        k1=-c.k2,
-        k2=-c.k1,
-        H=-c.H,
-        traceless_norm=c.traceless_norm,
-        gauss_K=c.gauss_K,
-        normal=-c.normal,
-        area_element=c.area_element,
-    )

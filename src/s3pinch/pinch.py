@@ -258,16 +258,6 @@ def acot(x):
     return out if out.ndim else float(out)
 
 
-def hk_integrand(k1, k2, t):
-    """Heintze-Karcher tube Jacobian (cos t - k1 sin t)(cos t - k2 sin t)."""
-    _require_finite(k1, k2, t)
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = (np.cos(t) - k1 * np.sin(t)) * (np.cos(t) - k2 * np.sin(t))
-    return out if out.ndim else float(out)
-
-
 def hk_time_integral(k1, k2):
     """Tube Jacobian integrated over [0, acot(k2)] in closed form.
 

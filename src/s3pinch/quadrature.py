@@ -75,19 +75,6 @@ def _node_data(surface: Surface, grid: QuadratureGrid):
     return cd, grid.weights * cd.area_element
 
 
-def integrate(surface: Surface, phi, grid: QuadratureGrid) -> float:
-    """Integral of a pointwise scalar field over the surface.
-
-    ``phi(curvature, point)`` receives batched CurvatureData / SurfacePoint
-    and must return an array of node values (numpy ufuncs compose fine).
-    """
-    U, V = np.meshgrid(grid.nodes_u, grid.nodes_v, indexing="ij")
-    p = surface.point(U, V)
-    cd = curvature_at(p)
-    vals = np.broadcast_to(np.asarray(phi(cd, p), dtype=float), cd.area_element.shape)
-    return float(np.sum(grid.weights * vals * cd.area_element))
-
-
 @dataclass(frozen=True)
 class GenusReport:
     """Quadrature summary of the genus bounds for one surface."""
@@ -130,8 +117,7 @@ def gap_integral(surface: Surface, grid: QuadratureGrid) -> float:
     return _integrals(cd, w)[4]
 
 
-def genus_report(surface: Surface, grid: QuadratureGrid,
-                 euler_tol: float = EULER_ROUNDING_TOL, nodes=None) -> GenusReport:
+def genus_report(surface: Surface, grid: QuadratureGrid, nodes=None) -> GenusReport:
     """Detect the genus via Gauss-Bonnet and evaluate every genus bound.
 
     ``nodes`` is the grid's ``_node_data`` when the caller already has it.
@@ -141,10 +127,10 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
 
     chi_raw = total_K / (2.0 * math.pi)
     euler = int(round(chi_raw))
-    if abs(chi_raw - euler) >= euler_tol or euler % 2 != 0 or euler > 2:
+    if abs(chi_raw - euler) >= EULER_ROUNDING_TOL or euler % 2 != 0 or euler > 2:
         raise GenusDetectionFailure(
             f"integrated curvature gives chi = {chi_raw:.6f}, "
-            f"not an admissible Euler characteristic within {euler_tol}"
+            f"not an admissible Euler characteristic within {EULER_ROUNDING_TOL}"
         )
     genus = (2 - euler) // 2
 

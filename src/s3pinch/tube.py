@@ -1,7 +1,7 @@
 """Heintze-Karcher tube volumes and the full genus-bound inequality chain.
 
 Side 1 of a surface is the region its frame normal points into; side 2 uses
-the reversed normal (`flip_orientation`: curvatures (-k2, -k1)).  The per-side
+the reversed normal, whose principal curvatures are (-k2, -k1).  The per-side
 volume upper bound integrates the closed-form time integral of the tube
 Jacobian up to the focal time acot(k2).
 """
@@ -15,7 +15,6 @@ import numpy as np
 
 from .catalog import Surface, sample_s3
 from .errors import DomainError
-from .geometry import flip_orientation
 from .pinch import FOUR_PI_SQ, S3_VOLUME, acot, at_most, hk_time_integral, prop1_integrand
 from .quadrature import GenusReport, QuadratureGrid, genus_report, _node_data
 
@@ -52,20 +51,13 @@ class ChainReport:
     checks: dict[str, bool]
 
 
-def normal_geodesic(p: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
-    """Point at arc length t along the great circle from p in direction nu."""
-    p = np.asarray(p, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-10 or abs(np.linalg.norm(nu) - 1.0) > 1e-10:
-        raise DomainError("p and nu must be unit vectors")
-    if abs(float(p @ nu)) > 1e-10:
-        raise DomainError("nu must be orthogonal to p")
-    return math.cos(t) * p + math.sin(t) * nu
+def _sides(cd):
+    """Principal curvatures (k1, k2) of side 1 and side 2 at every node."""
+    return (cd.k1, cd.k2), (-cd.k2, -cd.k1)
 
 
-def focal_time(k2) -> float:
-    """Focal time acot(k2) in (0, pi) along the normal geodesic."""
-    return acot(k2)
+def _hk_bound(w, k1, k2) -> float:
+    return float(np.sum(w * hk_time_integral(k1, k2)))
 
 
 def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float:
@@ -73,8 +65,7 @@ def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float
     if side not in (1, 2):
         raise DomainError(f"side must be 1 or 2, got {side}")
     cd, w = _node_data(surface, grid)
-    c = cd if side == 1 else flip_orientation(cd)
-    return float(np.sum(w * hk_time_integral(c.k1, c.k2)))
+    return _hk_bound(w, *_sides(cd)[side - 1])
 
 
 def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
@@ -119,8 +110,8 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
     """
     cd, w = nodes = _node_data(surface, grid)
     report = genus_report(surface, grid, nodes=nodes)
-    sides = (cd, flip_orientation(cd))
-    b1, b2 = (float(np.sum(w * hk_time_integral(c.k1, c.k2))) for c in sides)
+    sides = _sides(cd)
+    b1, b2 = (_hk_bound(w, *k) for k in sides)
     sum_rhs = 2.0 * (b1 + b2)
     prop1_lhs = FOUR_PI_SQ * report.genus
     prop1_rhs = float(np.sum(w * prop1_integrand(cd.k1, cd.k2)))
@@ -134,8 +125,8 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
             pass  # surface has no side classifier (e.g. imported grid)
 
     tubes = []
-    for side, c, bound in zip((1, 2), sides, (b1, b2)):
-        focal = acot(c.k2)
+    for side, (_, k2), bound in zip((1, 2), sides, (b1, b2)):
+        focal = acot(k2)
         tubes.append(TubeReport(
             side=side,
             hk_upper=bound,

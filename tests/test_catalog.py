@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from s3pinch import (
-    DomainError, FiniteDifferenceSurface, FlatTorus, GeodesicSphere,
-    PerturbedSphere, clifford_torus, curvature_at, normal_geodesic,
-    parse_surface, sample_s3, tangent_normal_frame,
+    DomainError, FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus,
+    curvature_at, parse_surface, sample_s3, tangent_normal_frame,
 )
 
 PI = math.pi
@@ -105,8 +104,9 @@ def test_side_classifier_consistent_with_normal():
         p = surface.point(u, v)
         nu, _ = tangent_normal_frame(p)
         for i in range(0, 100, 7):
-            fwd = normal_geodesic(p.position[i], nu[i], 0.01)
-            back = normal_geodesic(p.position[i], nu[i], -0.01)
+            # The normal geodesic cos(t) p + sin(t) nu at t = +-0.01.
+            fwd = math.cos(0.01) * p.position[i] + math.sin(0.01) * nu[i]
+            back = math.cos(0.01) * p.position[i] - math.sin(0.01) * nu[i]
             assert surface.side_classifier(fwd), surface.name
             assert not surface.side_classifier(back), surface.name
 
@@ -210,17 +210,3 @@ def test_parse_surface():
         with pytest.raises(DomainError):
             parse_surface(bad)
 
-
-def test_finite_difference_surface_wrapper():
-    a = 1 / math.sqrt(2)
-
-    def pos(u, v):
-        return np.stack([a * np.cos(u), a * np.sin(u),
-                         a * np.cos(v), a * np.sin(v)], axis=-1)
-
-    fd = FiniteDifferenceSurface(pos, (0, 2 * PI), (0, 2 * PI))
-    exact = clifford_torus()
-    u, v = random_params(exact, 30)
-    cd = curvature_at(fd.point(u, v))
-    assert np.allclose(cd.k1, -1.0, atol=1e-4)
-    assert np.allclose(cd.k2, 1.0, atol=1e-4)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -232,6 +233,20 @@ def test_sweep_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("a,")
     assert len(lines) == 4
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "sphere:r=1.0"], ["solve", "finv", "1.0"], ["gap", f"sphere:r={math.pi / 2!r}"],
+    ["eigen", "sphere:r=1.0"], ["import", "missing.csv"],
+])
+def test_csv_format_rejected_for_non_row_documents(capsys, command):
+    # Only sweep-tori prints rows; the other documents are nested.
+    assert main(["--format", "csv", "--resolution", "16", *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--format csv" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from s3pinch import (
     BracketFailure, DomainError, acot, at_most, beta_pinch, beta_solve, beta_target,
     cubic_gap, eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series,
-    hk_integrand, hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds,
+    hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds,
     lemma3_gap, min_surface_maxA_bound, prop1_integrand,
 )
 
@@ -187,11 +187,6 @@ class TestCubicGap:
 
 
 class TestHeintzeKarcher:
-    def test_integrand_examples(self):
-        assert hk_integrand(3.0, -7.0, 0.0) == 1.0
-        assert hk_integrand(0.0, 0.0, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-        assert hk_integrand(1.0, 2.0, math.pi / 4) == pytest.approx(0.0, abs=1e-15)
-
     def test_time_integral_examples(self):
         assert hk_time_integral(0.0, 0.0) == pytest.approx(math.pi / 4, abs=1e-15)
         assert hk_time_integral(-1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -205,7 +200,11 @@ class TestHeintzeKarcher:
             k1 = RNG.uniform(-5, 5)
             k2 = RNG.uniform(k1, 5)
             upper = acot(k2)
-            val, _ = quad(lambda t: hk_integrand(k1, k2, t), 0.0, upper)
+
+            def jacobian(t):  # the Heintze-Karcher tube Jacobian
+                return (math.cos(t) - k1 * math.sin(t)) * (math.cos(t) - k2 * math.sin(t))
+
+            val, _ = quad(jacobian, 0.0, upper)
             assert hk_time_integral(k1, k2) == pytest.approx(val, abs=1e-10)
 
     def test_acot_branch_identity(self):

@@ -9,6 +9,7 @@ from s3pinch.catalog import (
     FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus, sample_s3,
 )
 from s3pinch.errors import DomainError
+from s3pinch.pinch import acot
 from s3pinch.quadrature import make_grid
 from s3pinch.tube import (
     FOUR_PI_SQ,
@@ -16,9 +17,7 @@ from s3pinch.tube import (
     S3_VOLUME,
     ChainReport,
     TubeReport,
-    focal_time,
     monte_carlo_volume,
-    normal_geodesic,
     side_upper_bound,
     verify_sum_inequality,
 )
@@ -27,43 +26,22 @@ RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# normal_geodesic and focal_time
+# focal times
 # ---------------------------------------------------------------------------
 
-def test_normal_geodesic_basic():
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    nu = np.array([0.0, 1.0, 0.0, 0.0])
-    q = normal_geodesic(p, nu, math.pi / 2)
-    assert np.allclose(q, nu, atol=1e-15)
-    # Stays on the sphere for arbitrary t.
-    for t in np.linspace(-3.0, 3.0, 17):
-        assert abs(np.linalg.norm(normal_geodesic(p, nu, t)) - 1.0) < 1e-14
-
-
-def test_normal_geodesic_rejects_bad_inputs():
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    nu = np.array([0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(DomainError):
-        normal_geodesic(2.0 * p, nu, 0.1)
-    with pytest.raises(DomainError):
-        normal_geodesic(p, 0.5 * nu, 0.1)
-    with pytest.raises(DomainError):
-        normal_geodesic(p, (p + nu) / math.sqrt(2.0), 0.1)
-
-
 def test_focal_time_examples():
-    assert focal_time(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert focal_time(1.0) == pytest.approx(math.pi / 4, rel=1e-15)
-    assert focal_time(-1.0) == pytest.approx(3 * math.pi / 4, rel=1e-15)
+    assert acot(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert acot(1.0) == pytest.approx(math.pi / 4, rel=1e-15)
+    assert acot(-1.0) == pytest.approx(3 * math.pi / 4, rel=1e-15)
     # acot stays in (0, pi) for large |k|.
-    assert 0.0 < focal_time(1e8) < 1e-7
-    assert math.pi - 1e-7 < focal_time(-1e8) < math.pi
+    assert 0.0 < acot(1e8) < 1e-7
+    assert math.pi - 1e-7 < acot(-1e8) < math.pi
 
 
 def test_focal_time_matches_jacobian_root():
     # cos(t) - k sin(t) vanishes first at t = acot(k).
     for k in (-3.0, -0.5, 0.0, 0.7, 4.0):
-        t = focal_time(k)
+        t = acot(k)
         assert abs(math.cos(t) - k * math.sin(t)) < 1e-12
 
 
