@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ImmersionFailure
-from .geometry import SurfacePoint, first_fundamental_form
+from .geometry import SurfacePoint, dot, first_fundamental_form
 from .pinch import S3_VOLUME, SQRT2
 
 TWO_PI = 2.0 * math.pi
@@ -81,9 +81,7 @@ class GeodesicSphere(Surface):
         self.exact_principal_curvatures = (k, k)
 
     def point(self, u, v) -> SurfacePoint:
-        phi = np.asarray(u, dtype=float)
-        th = np.asarray(v, dtype=float)
-        phi, th = np.broadcast_arrays(phi, th)
+        phi, th = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         sr, cr = math.sin(self.r), math.cos(self.r)
         st, ct = np.sin(th), np.cos(th)
         sp_, cp = np.sin(phi), np.cos(phi)
@@ -124,9 +122,7 @@ class FlatTorus(Surface):
             self.exact_lambda1 = 2.0
 
     def point(self, u, v) -> SurfacePoint:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         a, b = self.a, self.b
         cu, su = np.cos(u), np.sin(u)
         cv, sv = np.cos(v), np.sin(v)
@@ -221,8 +217,7 @@ class PerturbedSphere(Surface):
         rho = self._rho(U, V)
         if np.any(rho <= 0.0) or np.any(rho >= math.pi):
             raise DomainError("perturbed radius leaves (0, pi); reduce eps")
-        p = self.point(U, V)
-        E, F, G = first_fundamental_form(p)
+        E, F, G = first_fundamental_form(self.point(U, V))
         det = E * G - F * F
         if np.any(det <= 1e-12 * E * G):
             raise ImmersionFailure("EG - F^2 degenerates at a probe node; reduce eps")
@@ -268,7 +263,7 @@ class PerturbedSphere(Surface):
 def sample_s3(n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform samples on S^3 via normalized 4-d Gaussian draws."""
     x = rng.normal(size=(n, 4))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.sqrt(dot(x, x))[:, None]
 
 
 def parse_surface(spec: str) -> Surface:

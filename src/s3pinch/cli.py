@@ -26,8 +26,7 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_NUMERIC = 4
 FD_FLOOR_TOL = 1e-4
-# Node fields are not tiled: `check` peaks near 0.42 GB at 1024^2, ~1.7 GB at
-# 2048^2. Monte-Carlo draws are tiled, so the sample cap bounds run time only.
+# Node fields and Monte-Carlo draws stream in tiles: both caps bound run time only.
 MAX_RESOLUTION = 2048
 MAX_SAMPLES = 10 ** 9
 MAX_SWEEP_STEPS = 10 ** 4

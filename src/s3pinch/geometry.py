@@ -50,8 +50,9 @@ class CurvatureData:
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean inner product over the trailing axis."""
-    return np.sum(a * b, axis=-1)
+    """Inner product over the trailing axis of 4-vectors: np.sum's bits at a third of its cost."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
 
 
 def cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -78,7 +79,7 @@ def first_fundamental_form(p: SurfacePoint) -> tuple[np.ndarray, np.ndarray, np.
     return dot(p.du, p.du), dot(p.du, p.dv), dot(p.dv, p.dv)
 
 
-def tangent_normal_frame(p: SurfacePoint):
+def tangent_normal_frame(p: SurfacePoint, row0: int = 0):
     """Unit normal and metric components at a surface point.
 
     The normal is the normalized 4-dimensional cross product of
@@ -88,23 +89,25 @@ def tangent_normal_frame(p: SurfacePoint):
     Raises
     ------
     DegenerateMetric
-        If E*G - F^2 <= DEGENERACY_RTOL * E*G at any point of the batch.
+        If E*G - F^2 <= DEGENERACY_RTOL * E*G at any point of the batch; the
+        message names the first, its row offset by ``row0`` (the batch's row in a grid).
     """
     E, F, G = first_fundamental_form(p)
     det = E * G - F * F
     bad = det <= DEGENERACY_RTOL * E * G
     if np.any(bad):
-        where = np.argwhere(np.atleast_1d(bad))[0]
+        where = tuple(np.argwhere(np.atleast_1d(bad))[0])
+        index = (int(where[0]) + row0, *map(int, where[1:]))
         raise DegenerateMetric(
-            f"first fundamental form degenerate at batch index {tuple(where)}: "
-            f"EG-F^2 = {np.atleast_1d(det)[tuple(where)]:.3e}"
+            f"first fundamental form degenerate at batch index {index}: "
+            f"EG-F^2 = {np.atleast_1d(det)[where]:.3e}"
         )
     nu = cross4(p.position, p.du, p.dv)
-    nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+    nu = nu / np.sqrt(dot(nu, nu))[..., None]
     return nu, (E, F, G)
 
 
-def curvature_at(p: SurfacePoint) -> CurvatureData:
+def curvature_at(p: SurfacePoint, row0: int = 0) -> CurvatureData:
     """Principal curvatures and derived invariants at a surface point.
 
     k1 <= k2 are the eigenvalues of the shape operator I^{-1} II, where the
@@ -112,7 +115,7 @@ def curvature_at(p: SurfacePoint) -> CurvatureData:
     through the unit normal (components along the sphere radius drop out
     because the normal is tangent to the 3-sphere).
     """
-    nu, (E, F, G) = tangent_normal_frame(p)
+    nu, (E, F, G) = tangent_normal_frame(p, row0)
     det = E * G - F * F
     sqrt_det = np.sqrt(det)
     e = dot(p.duu, nu)

@@ -95,9 +95,7 @@ class GridSurface(Surface):
         return idx
 
     def point(self, u, v) -> SurfacePoint:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         i = self._indices(u, self.nodes_u)
         j = self._indices(v, self.nodes_v)
         return SurfacePoint(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GenusDetectionFailure, NotMinimal
 from .geometry import curvature_at
-from .pinch import FOUR_PI_SQ, SQRT2, f_pinch
+from .pinch import FOUR_PI_SQ, SQRT2, acot, f_pinch, hk_time_integral, prop1_integrand
 from .catalog import Surface
 
 GAP_THRESHOLD = 3.0 * SQRT2 * math.pi ** 2
@@ -23,6 +23,9 @@ EULER_ROUNDING_TOL = 0.01
 MINIMAL_H_TOL = 1e-6
 DEFAULT_RESOLUTION = 64
 GL_PANEL_SIZE = 8
+# Nodes evaluated per step of a grid reduction, so memory does not grow with
+# the resolution and the temporaries stay small enough to be reused.
+NODE_TILE = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,51 @@ def make_grid(surface: Surface, nu: int, nv: int) -> QuadratureGrid:
     return QuadratureGrid(xu, xv, np.outer(wu, wv), surface.periodic_u, surface.periodic_v)
 
 
-def _node_data(surface: Surface, grid: QuadratureGrid):
-    """Curvature data and weighted area element at every grid node: all the
-    certificates read from a grid, so callers evaluate it once and pass it on."""
-    U, V = np.meshgrid(grid.nodes_u, grid.nodes_v, indexing="ij")
-    cd = curvature_at(surface.point(U, V))
-    return cd, grid.weights * cd.area_element
+def _node_data(surface: Surface, grid: QuadratureGrid, rows=slice(None)):
+    """Curvature data and weighted area element at the nodes of the u-rows
+    ``rows`` of the grid (all of them by default)."""
+    U, V = np.meshgrid(grid.nodes_u[rows], grid.nodes_v, indexing="ij")
+    cd = curvature_at(surface.point(U, V), row0=rows.start or 0)
+    return cd, grid.weights[rows] * cd.area_element
+
+
+@dataclass(frozen=True)
+class NodeSums:
+    """Every number a certificate reads from a grid's node field."""
+
+    area: float
+    total_K: float
+    integral_f: float                  # of f(|Aring|)
+    integral_A3: float                 # of |Aring|^3
+    integral_absA3: float              # of |A|^3
+    hk_upper: tuple[float, float]      # Heintze-Karcher bound of sides 1 and 2
+    integral_prop1: float              # of the genus-bound integrand
+    focal_min: tuple[float, float]     # focal time acot(k2) per side
+    focal_max: tuple[float, float]
+    max_H: float                       # max |H|
+
+
+def node_sums(surface: Surface, grid: QuadratureGrid) -> NodeSums:
+    """Reduce the grid's node field in one pass over tiles of whole u-rows
+    holding about NODE_TILE nodes, so memory does not grow with the grid.
+    Side 2's principal curvatures are (-k2, -k1)."""
+    nu, nv = grid.resolution
+    step = max(1, NODE_TILE // nv)
+    sums = np.zeros(8)
+    lo, hi, max_H = np.full(2, np.inf), np.full(2, -np.inf), 0.0
+    for start in range(0, nu, step):
+        cd, w = _node_data(surface, grid, slice(start, start + step))
+        k1, k2, t = cd.k1, cd.k2, cd.traceless_norm
+        sums += [np.sum(w * x) for x in (
+            1.0, cd.gauss_K, f_pinch(t), t ** 3, (k1 ** 2 + k2 ** 2) ** 1.5,
+            hk_time_integral(k1, k2), hk_time_integral(-k2, -k1), prop1_integrand(k1, k2))]
+        focal = acot(k2), acot(-k1)
+        lo = np.minimum(lo, [np.min(f) for f in focal])
+        hi = np.maximum(hi, [np.max(f) for f in focal])
+        max_H = max(max_H, float(np.max(np.abs(cd.H))))
+    area, total_K, int_f, int_A3, abs_A3, hk1, hk2, prop1 = map(float, sums)
+    return NodeSums(area, total_K, int_f, int_A3, abs_A3, (hk1, hk2), prop1,
+                    tuple(map(float, lo)), tuple(map(float, hi)), max_H)
 
 
 @dataclass(frozen=True)
@@ -99,33 +141,22 @@ class GenusReport:
     gap_below: bool | None = None
 
 
-def _integrals(cd, w):
-    area = float(np.sum(w))
-    total_K = float(np.sum(w * cd.gauss_K))
-    integral_f = float(np.sum(w * f_pinch(cd.traceless_norm)))
-    integral_A3 = float(np.sum(w * cd.traceless_norm ** 3))
-    absA3 = float(np.sum(w * (cd.k1 ** 2 + cd.k2 ** 2) ** 1.5))
-    return area, total_K, integral_f, integral_A3, absA3
-
-
 def gap_integral(surface: Surface, grid: QuadratureGrid) -> float:
     """Integral of |A|^3 for the L^3 gap theorem; NotMinimal if max |H| > MINIMAL_H_TOL."""
-    cd, w = _node_data(surface, grid)
-    max_H = float(np.max(np.abs(cd.H)))
-    if max_H > MINIMAL_H_TOL:
-        raise NotMinimal(f"max |H| = {max_H:.3e} > {MINIMAL_H_TOL:g}")
-    return _integrals(cd, w)[4]
+    sums = node_sums(surface, grid)
+    if sums.max_H > MINIMAL_H_TOL:
+        raise NotMinimal(f"max |H| = {sums.max_H:.3e} > {MINIMAL_H_TOL:g}")
+    return sums.integral_absA3
 
 
-def genus_report(surface: Surface, grid: QuadratureGrid, nodes=None) -> GenusReport:
+def genus_report(surface: Surface, grid: QuadratureGrid,
+                 nodes: NodeSums | None = None) -> GenusReport:
     """Detect the genus via Gauss-Bonnet and evaluate every genus bound.
 
-    ``nodes`` is the grid's ``_node_data`` when the caller already has it.
+    ``nodes`` is the grid's ``node_sums`` when the caller already has it.
     """
-    area, total_K, integral_f, integral_A3, absA3 = _integrals(
-        *(_node_data(surface, grid) if nodes is None else nodes))
-
-    chi_raw = total_K / (2.0 * math.pi)
+    sums = node_sums(surface, grid) if nodes is None else nodes
+    chi_raw = sums.total_K / (2.0 * math.pi)
     euler = int(round(chi_raw))
     if abs(chi_raw - euler) >= EULER_ROUNDING_TOL or euler % 2 != 0 or euler > 2:
         raise GenusDetectionFailure(
@@ -137,26 +168,18 @@ def genus_report(surface: Surface, grid: QuadratureGrid, nodes=None) -> GenusRep
     convergence = math.nan
     nu, nv = grid.resolution
     if nu >= 16 and nv >= 16 and not surface.sampled:
-        coarse_f = _integrals(*_node_data(surface, make_grid(surface, nu // 2, nv // 2)))[2]
-        convergence = abs(integral_f - coarse_f) / (1.0 + abs(integral_f))
+        coarse_f = node_sums(surface, make_grid(surface, nu // 2, nv // 2)).integral_f
+        convergence = abs(sums.integral_f - coarse_f) / (1.0 + abs(sums.integral_f))
 
     bound_lhs = FOUR_PI_SQ * genus
+    gap = sums.integral_absA3 if surface.is_minimal else None
     return GenusReport(
-        area=area,
-        total_K=total_K,
-        euler_char=euler,
-        genus=genus,
-        integral_f=integral_f,
-        integral_A3=integral_A3,
-        bound_lhs=bound_lhs,
-        bound_rhs=integral_f,
-        slack=integral_f - bound_lhs,
-        cubic_lhs=2.0 * math.pi ** 2 * genus,
-        cubic_rhs=SQRT2 / 3.0 * integral_A3,
-        convergence=convergence,
-        resolution=(nu, nv),
-        gap_integral=absA3 if surface.is_minimal else None,
-        gap_below=(absA3 < GAP_THRESHOLD) if surface.is_minimal else None,
+        area=sums.area, total_K=sums.total_K, euler_char=euler, genus=genus,
+        integral_f=sums.integral_f, integral_A3=sums.integral_A3,
+        bound_lhs=bound_lhs, bound_rhs=sums.integral_f, slack=sums.integral_f - bound_lhs,
+        cubic_lhs=2.0 * math.pi ** 2 * genus, cubic_rhs=SQRT2 / 3.0 * sums.integral_A3,
+        convergence=convergence, resolution=(nu, nv),
+        gap_integral=gap, gap_below=None if gap is None else gap < GAP_THRESHOLD,
     )
 
 
@@ -173,7 +196,7 @@ def convergence_probe(surface: Surface, base_grid: QuadratureGrid,
     prev = None
     grid = base_grid
     for _ in range(max_doublings + 1):
-        integral_f = _integrals(*_node_data(surface, grid))[2]
+        integral_f = node_sums(surface, grid).integral_f
         change = math.nan if prev is None else abs(integral_f - prev) / (1.0 + abs(integral_f))
         rows.append((grid.resolution, integral_f, change))
         if prev is not None and change < rel_tol:

@@ -15,13 +15,16 @@ import numpy as np
 
 from .catalog import Surface, sample_s3
 from .errors import DomainError
-from .pinch import FOUR_PI_SQ, S3_VOLUME, acot, at_most, hk_time_integral, prop1_integrand
-from .quadrature import GenusReport, QuadratureGrid, genus_report, _node_data
+from .pinch import FOUR_PI_SQ, S3_VOLUME, at_most
+from .quadrature import GenusReport, QuadratureGrid, genus_report, node_sums
+# Not called here: perfbench/tracing.py patches these names in this module.
+from .quadrature import _node_data, hk_time_integral, prop1_integrand  # noqa: F401
 
 CHAIN_TOL = 1e-8
 DEFAULT_SAMPLES = 10 ** 6
-# Samples drawn and classified per step, so memory does not grow with n.
-MC_TILE = 2 ** 16
+# Samples drawn and classified per step, so memory does not grow with n; a
+# 256 KB tile is reused by malloc, not returned to the kernel and re-faulted.
+MC_TILE = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -51,21 +54,11 @@ class ChainReport:
     checks: dict[str, bool]
 
 
-def _sides(cd):
-    """Principal curvatures (k1, k2) of side 1 and side 2 at every node."""
-    return (cd.k1, cd.k2), (-cd.k2, -cd.k1)
-
-
-def _hk_bound(w, k1, k2) -> float:
-    return float(np.sum(w * hk_time_integral(k1, k2)))
-
-
 def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float:
     """Heintze-Karcher upper bound for the volume of one side."""
     if side not in (1, 2):
         raise DomainError(f"side must be 1 or 2, got {side}")
-    cd, w = _node_data(surface, grid)
-    return _hk_bound(w, *_sides(cd)[side - 1])
+    return node_sums(surface, grid).hk_upper[side - 1]
 
 
 def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
@@ -100,7 +93,7 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
                           mc_samples: int | None = None, seed: int = 0,
                           tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every link of the genus-bound inequality chain, each under
-    `at_most`'s rule, from one evaluation of the grid's node data.
+    `at_most`'s rule, from one pass of `node_sums` over the grid.
 
     checks: theorem2 (4 pi^2 g <= integral of f(|Aring|)), cubic (2 pi^2 g <=
     (sqrt(2)/3) integral of |Aring|^3), sum_bound (2|M| <= 2*(bound_1 +
@@ -108,13 +101,10 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
     and, with exact side volumes, hk_side1/2 (volume <= bound).  A failed link
     is reported, never raised.
     """
-    cd, w = nodes = _node_data(surface, grid)
-    report = genus_report(surface, grid, nodes=nodes)
-    sides = _sides(cd)
-    b1, b2 = (_hk_bound(w, *k) for k in sides)
-    sum_rhs = 2.0 * (b1 + b2)
+    sums = node_sums(surface, grid)
+    report = genus_report(surface, grid, nodes=sums)
+    sum_rhs = 2.0 * sum(sums.hk_upper)
     prop1_lhs = FOUR_PI_SQ * report.genus
-    prop1_rhs = float(np.sum(w * prop1_integrand(cd.k1, cd.k2)))
 
     exact = surface.exact_side_volumes
     mc = (None, None)
@@ -124,26 +114,18 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
         except NotImplementedError:
             pass  # surface has no side classifier (e.g. imported grid)
 
-    tubes = []
-    for side, (_, k2), bound in zip((1, 2), sides, (b1, b2)):
-        focal = acot(k2)
-        tubes.append(TubeReport(
-            side=side,
-            hk_upper=bound,
-            exact_volume=None if exact is None else exact[side - 1],
-            mc_volume=mc[side - 1],
-            focal_min=float(np.min(focal)),
-            focal_max=float(np.max(focal)),
-            sum_lhs=FOUR_PI_SQ,
-            sum_rhs=sum_rhs,
-            prop1_lhs=prop1_lhs,
-            prop1_rhs=prop1_rhs,
-        ))
+    tubes = [TubeReport(
+        side=i + 1, hk_upper=sums.hk_upper[i],
+        exact_volume=None if exact is None else exact[i], mc_volume=mc[i],
+        focal_min=sums.focal_min[i], focal_max=sums.focal_max[i],
+        sum_lhs=FOUR_PI_SQ, sum_rhs=sum_rhs,
+        prop1_lhs=prop1_lhs, prop1_rhs=sums.integral_prop1,
+    ) for i in (0, 1)]
     checks = {
         "theorem2": at_most(report.bound_lhs, report.bound_rhs, tol),
         "cubic": at_most(report.cubic_lhs, report.cubic_rhs, tol),
         "sum_bound": at_most(FOUR_PI_SQ, sum_rhs, tol),
-        "genus_bound": at_most(prop1_lhs, prop1_rhs, tol),
+        "genus_bound": at_most(prop1_lhs, sums.integral_prop1, tol),
     }
     for t in tubes:
         if t.exact_volume is not None:

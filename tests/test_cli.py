@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -318,20 +321,49 @@ def test_import_off_sphere_exits_2(capsys, tmp_path):
 class _CountingTorus(FlatTorus):
     def __init__(self, a):
         super().__init__(a)
-        self.point_shapes = []
+        self.nodes = []
 
     def point(self, u, v):
-        self.point_shapes.append(np.shape(u))
+        u, v = np.broadcast_arrays(u, v)
+        self.nodes += zip(u.ravel().tolist(), v.ravel().tolist())
         return super().point(u, v)
 
 
 def test_check_evaluates_fine_and_coarse_grid_once(capsys, monkeypatch):
+    # Tiles of 160 nodes (5 rows of the 32x32 grid, 10 of its 16x16
+    # convergence grid), so neither grid fits in one call; every node of
+    # both is still evaluated exactly once.
+    monkeypatch.setattr(quadrature, "NODE_TILE", 5 * 32)
     surface = _CountingTorus(0.6)
     monkeypatch.setattr(catalog, "parse_surface", lambda spec: surface)
     code, doc = run_json(capsys, "--resolution", "32", "--samples", "1000",
                          "check", "torus:a=0.6")
     assert code == 0 and doc["pass"]
-    assert surface.point_shapes == [(32, 32), (16, 16)]
+    expected = []
+    for n in (32, 16):
+        grid = quadrature.make_grid(surface, n, n)
+        U, V = np.meshgrid(grid.nodes_u, grid.nodes_v, indexing="ij")
+        expected += zip(U.ravel().tolist(), V.ravel().tolist())
+    assert sorted(surface.nodes) == sorted(expected)
+
+
+def test_check_memory_does_not_grow_with_resolution():
+    # A fresh 1024^2 check; the node field and the samples stream in tiles.
+    # A child's ru_maxrss starts at the resident size of the process that
+    # forked it, so the check is started from a small interpreter, not pytest.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    spawn = ("import resource, subprocess, sys; "
+             "rc = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL); "
+             "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run(
+        [sys.executable, "-c", spawn, sys.executable, "-m", "s3pinch.cli", "--resolution", "1024",
+         "--samples", "100000", "check", "torus:a=0.6"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    rc, maxrss_kb = map(int, out.split())
+    assert rc == 0
+    assert maxrss_kb <= 80 * 1024, f"peak RSS {maxrss_kb / 1024:.0f} MB"
 
 
 def test_json_output_is_deterministic(capsys):

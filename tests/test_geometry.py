@@ -7,6 +7,7 @@ from s3pinch import (
     DegenerateMetric, FlatTorus, GeodesicSphere, SurfacePoint, clifford_torus,
     cross4, curvature_at, tangent_normal_frame,
 )
+from s3pinch.geometry import dot
 
 RNG = np.random.default_rng(42)
 
@@ -59,6 +60,14 @@ def test_cross4_orthogonal_to_arguments():
         assert abs(n @ a) < 1e-12 * np.linalg.norm(n)
         assert abs(n @ b) < 1e-12 * np.linalg.norm(n)
         assert abs(n @ c) < 1e-12 * np.linalg.norm(n)
+
+
+@pytest.mark.parametrize("shape", [(8192, 4), (32, 256, 4), (4,)])
+def test_dot_gives_numpy_sum_bits(shape):
+    # Frames and S^3 samples are normalised with `dot`; equal bits keep the
+    # Monte-Carlo counts and every node value identical to np.sum's.
+    a, b = RNG.normal(size=(2, *shape))
+    assert np.array_equal(dot(a, b), np.sum(a * b, axis=-1))
 
 
 def test_frame_orthonormality_on_random_points():

@@ -5,8 +5,9 @@ import pytest
 
 from s3pinch import (
     DegenerateMetric, FlatTorus, GenusDetectionFailure, GeodesicSphere,
-    NotMinimal, PerturbedSphere, clifford_torus, convergence_probe, f_pinch,
-    f_series, gap_integral, genus_report, make_grid, quadrature,
+    NotMinimal, PerturbedSphere, acot, clifford_torus, convergence_probe, f_pinch,
+    f_series, gap_integral, genus_report, hk_time_integral, make_grid,
+    prop1_integrand, quadrature,
 )
 from s3pinch.quadrature import _node_data
 
@@ -219,3 +220,52 @@ def test_report_embeds_resolution_and_convergence():
     rep = genus_report(surface, make_grid(surface, 32, 32))
     assert rep.resolution == (32, 32)
     assert rep.convergence < 1e-12
+
+
+@pytest.mark.parametrize("surface", [
+    FlatTorus(0.6), GeodesicSphere(1.0), PerturbedSphere(1.2, 0.1, 3, 2),
+], ids=["torus", "sphere", "psphere"])
+def test_tiled_sums_match_whole_grid_sums(surface, monkeypatch):
+    # 5 rows of 32 per tile: seven tiles, the last holding only two rows.
+    monkeypatch.setattr(quadrature, "NODE_TILE", 5 * 32 + 7)
+    grid = make_grid(surface, 32, 32)
+    sums = quadrature.node_sums(surface, grid)
+    cd, w = _node_data(surface, grid)
+    k1, k2, t = cd.k1, cd.k2, cd.traceless_norm
+    whole = {
+        "area": np.sum(w),
+        "total_K": np.sum(w * cd.gauss_K),
+        "integral_f": np.sum(w * f_pinch(t)),
+        "integral_A3": np.sum(w * t ** 3),
+        "integral_absA3": np.sum(w * (k1 ** 2 + k2 ** 2) ** 1.5),
+        "hk_upper": [np.sum(w * hk_time_integral(k1, k2)),
+                     np.sum(w * hk_time_integral(-k2, -k1))],
+        "integral_prop1": np.sum(w * prop1_integrand(k1, k2)),
+    }
+    for name, value in whole.items():
+        np.testing.assert_allclose(getattr(sums, name), value, rtol=1e-13, atol=1e-13, err_msg=name)
+    focal = acot(k2), acot(-k1)
+    assert sums.focal_min == tuple(float(np.min(f)) for f in focal)
+    assert sums.focal_max == tuple(float(np.max(f)) for f in focal)
+    assert sums.max_H == float(np.max(np.abs(cd.H)))
+
+
+class _PinchedTorus(FlatTorus):
+    """A flat torus whose u-partial vanishes at one node, (row, col), of its
+    32x32 grid."""
+
+    row, col = 30, 7
+
+    def point(self, u, v):
+        p = super().point(u, v)
+        grid = make_grid(self, 32, 32)
+        bad = (u == grid.nodes_u[self.row]) & (v == grid.nodes_v[self.col])
+        p.du[bad] = 0.0
+        return p
+
+
+def test_degenerate_metric_names_the_grid_node_in_the_last_tile(monkeypatch):
+    monkeypatch.setattr(quadrature, "NODE_TILE", 4 * 32)
+    surface = _PinchedTorus(0.6)
+    with pytest.raises(DegenerateMetric, match=r"batch index \(30, 7\):"):
+        quadrature.node_sums(surface, make_grid(surface, 32, 32))
