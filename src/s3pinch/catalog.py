@@ -262,8 +262,8 @@ class PerturbedSphere(Surface):
 
 def sample_s3(n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform samples on S^3 via normalized 4-d Gaussian draws."""
-    x = rng.normal(size=(n, 4))
-    return x / np.sqrt(dot(x, x))[:, None]
+    x = rng.standard_normal((n, 4))
+    return np.divide(x, np.sqrt(dot(x, x))[:, None], out=x)
 
 
 def parse_surface(spec: str) -> Surface:

@@ -283,6 +283,8 @@ def main(argv=None) -> int:
             raise DomainError(f"--tol must be finite and positive, got {args.tol}")
         if not 0 <= args.samples <= MAX_SAMPLES:
             raise DomainError(f"--samples must be in [0, {MAX_SAMPLES}], got {args.samples}")
+        if args.seed < 0:
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         _validate_resolution(args.resolution)
         return args.func(args)
     except _PARSE_ERRORS as exc:

@@ -9,6 +9,8 @@ Jacobian up to the focal time acot(k2).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,12 @@ from .quadrature import _node_data, hk_time_integral, prop1_integrand  # noqa: F
 
 CHAIN_TOL = 1e-8
 DEFAULT_SAMPLES = 10 ** 6
-# Samples drawn and classified per step, so memory does not grow with n; a
-# 256 KB tile is reused by malloc, not returned to the kernel and re-faulted.
+# Samples per tile, each tile its own Philox substream: memory does not grow
+# with n, and a 256 KB tile is reused by malloc, not re-faulted.
 MC_TILE = 2 ** 13
+# Threads that draw and classify tiles: the CPUs this process may run on.
+MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -62,28 +67,45 @@ def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float
 
 
 def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
-    """(estimate, stderr) of sides 1 and 2 from one set of samples, drawn and
-    classified MC_TILE at a time.  Consecutive Philox tile draws continue one
-    stream, so the counts equal those of a single draw of all n samples."""
-    if samples is None:
-        n = int(n_samples)
-        rng = np.random.Generator(np.random.Philox(seed))
-        tiles = (sample_s3(min(MC_TILE, n - i), rng) for i in range(0, n, MC_TILE))
-    else:
-        n = len(samples)
-        tiles = (samples[i:i + MC_TILE] for i in range(0, n, MC_TILE))
-    k = sum(int(np.count_nonzero(surface.side_classifier(x))) for x in tiles)
+    """(estimate, stderr) of sides 1 and 2.  Workers take tiles in turn; tile t is drawn
+    from Philox(seed).jumped(t) and gives an integer count, so the sum depends on neither
+    MC_WORKERS nor the scheduling.  An exception stops every worker before its next tile."""
+    n = int(n_samples) if samples is None else len(samples)
+    workers = max(1, min(MC_WORKERS, math.ceil(n / MC_TILE)))
+    counts, first_error, todo, lock = [0] * workers, {}, iter(range(0, n, MC_TILE)), threading.Lock()
+
+    def work(w):
+        try:
+            while not first_error:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                x = samples[i:i + MC_TILE] if samples is not None else sample_s3(
+                    min(MC_TILE, n - i),
+                    np.random.Generator(np.random.Philox(seed).jumped(i // MC_TILE)))
+                counts[w] += int(np.count_nonzero(surface.side_classifier(x)))
+        except BaseException as exc:
+            first_error.setdefault("exc", exc)  # atomic: later errors are dropped
+
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if first_error:  # pop, so no frame in its traceback still holds the exception
+        raise first_error.pop("exc")
+    k = sum(counts)
     return tuple((S3_VOLUME * p, S3_VOLUME * math.sqrt(p * (1.0 - p) / n))
                  for p in (float(k) / n, float(n - k) / n))
 
 
 def monte_carlo_volume(surface: Surface, side: int, n_samples: int = DEFAULT_SAMPLES,
                        seed: int = 0, samples: np.ndarray | None = None):
-    """Monte-Carlo estimate of a side volume from uniform S^3 samples.
-
-    Returns (estimate, stderr).  The Philox counter-based generator makes the
-    stream reproducible for a given seed regardless of threading.
-    """
+    """(estimate, stderr) of a side volume from uniform S^3 samples.  Each tile of
+    MC_TILE samples has its own Philox substream, so a seed gives the same estimate
+    on every machine and for every MC_WORKERS."""
     if side not in (1, 2):
         raise DomainError(f"side must be 1 or 2, got {side}")
     return _mc_sides(surface, n_samples, seed, samples)[side - 1]

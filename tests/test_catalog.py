@@ -10,6 +10,8 @@ from s3pinch import (
     DomainError, FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus,
     curvature_at, parse_surface, sample_s3, tangent_normal_frame,
 )
+from s3pinch.geometry import dot
+from s3pinch.tube import MC_TILE
 
 PI = math.pi
 S3_VOLUME = 2 * PI ** 2
@@ -126,6 +128,16 @@ def test_sample_s3_unit_norm_and_symmetric():
     samples = sample_s3(20000, np.random.default_rng(5))
     assert np.allclose(np.linalg.norm(samples, axis=1), 1.0, atol=1e-12)
     assert np.all(np.abs(samples.mean(axis=0)) < 0.02)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (MC_TILE + 7, 3), (200_000, 42)])
+def test_sample_s3_bits_match_normal_draw(n, seed):
+    # sample_s3 fills with standard_normal; the points must stay those of
+    # rng.normal, so callers passing samples= see the same set.
+    x = np.random.Generator(np.random.Philox(seed)).normal(size=(n, 4))
+    expected = x / np.sqrt(dot(x, x))[:, None]
+    got = sample_s3(n, np.random.Generator(np.random.Philox(seed)))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_perturbed_sphere_reduces_to_round_sphere_at_zero_eps():

@@ -140,11 +140,24 @@ def test_solve_bad_args_exit_2(capsys):
     (["--samples", "-5", "check", "sphere:r=1.0"], "--samples"),
     (["--samples", str(MAX_SAMPLES + 1), "check", "sphere:r=1.0"], "--samples"),
     (["--resolution", str(2 * MAX_RESOLUTION), "check", "sphere:r=1.0"], "--resolution"),
+    (["--seed", "-1", "check", "sphere:r=1.0"], "--seed"),
+    (["--seed", "-1", "--samples", "0", "check", "sphere:r=1.0"], "--seed"),
+    (["--seed", "-1", "import", "no-such-grid.csv"], "--seed"),
 ])
 def test_bad_global_flag_exits_2_with_one_line(capsys, argv, flag):
     assert main(["--resolution", "16", *argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err
+
+
+def test_negative_seed_rejected_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a certificate was started")
+
+    monkeypatch.setattr(quadrature, "make_grid", no_work)
+    monkeypatch.setattr(catalog, "parse_surface", no_work)
+    assert main(["--seed", "-1", "check", "sphere:r=1.0"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Tests for Heintze-Karcher tube-volume bounds and the inequality chain."""
 
+import gc
 import math
+import sys
+import time
+import weakref
 
 import numpy as np
 import pytest
 
+from s3pinch import tube
 from s3pinch.catalog import (
     FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus, sample_s3,
 )
 from s3pinch.errors import DomainError
+from s3pinch.gridio import export_grid, import_surface
 from s3pinch.pinch import acot
 from s3pinch.quadrature import make_grid
 from s3pinch.tube import (
@@ -205,10 +211,18 @@ def _whole_draw_volumes(surface, pts):
     return out
 
 
+def _tile_draws(n, seed):
+    # Tile t of the n samples comes from the t-th jump of the seed's stream.
+    return np.concatenate([
+        sample_s3(min(MC_TILE, n - i),
+                  np.random.Generator(np.random.Philox(seed).jumped(i // MC_TILE)))
+        for i in range(0, n, MC_TILE)])
+
+
 @pytest.mark.parametrize("surface", [GeodesicSphere(1.0), FlatTorus(0.6)])
 def test_tiled_monte_carlo_equals_whole_draw(surface):
     n, seed = 3 * MC_TILE + 12345, 9
-    pts = sample_s3(n, np.random.Generator(np.random.Philox(seed)))
+    pts = _tile_draws(n, seed)
     expected = _whole_draw_volumes(surface, pts)
     for side in (1, 2):
         assert monte_carlo_volume(surface, side, n_samples=n, seed=seed) == expected[side - 1]
@@ -219,9 +233,80 @@ def test_verify_mc_volumes_bit_identical_to_whole_draw():
     s = FlatTorus(0.6)
     n, seed = MC_TILE + 4321, 5
     r1, r2 = verify_sum_inequality(s, make_grid(s, 16, 16), mc_samples=n, seed=seed).tube_reports
-    expected = _whole_draw_volumes(s, sample_s3(n, np.random.Generator(np.random.Philox(seed))))
+    expected = _whole_draw_volumes(s, _tile_draws(n, seed))
     assert r1.mc_volume == expected[0]
     assert r2.mc_volume == expected[1]
+
+
+@pytest.mark.parametrize("n", [3 * MC_TILE + 12345, 1000])
+def test_monte_carlo_same_for_every_worker_count(monkeypatch, n):
+    s, seed = FlatTorus(0.6), 13
+    pts = _tile_draws(n, seed)
+    expected = _whole_draw_volumes(s, pts)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches than cores: a lost count would show
+    try:
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(tube, "MC_WORKERS", workers)
+            for side in (1, 2):
+                assert monte_carlo_volume(s, side, n_samples=n, seed=seed) == expected[side - 1]
+                assert monte_carlo_volume(s, side, samples=pts) == expected[side - 1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_monte_carlo_starts_no_thread_below_one_tile(monkeypatch):
+    started = []
+    monkeypatch.setattr(tube, "MC_WORKERS", 4)
+    monkeypatch.setattr(tube.threading.Thread, "start", lambda self: started.append(self))
+    monte_carlo_volume(FlatTorus(0.6), 1, n_samples=MC_TILE - 1)
+    assert started == []
+
+
+class _FailsFirst(GeodesicSphere):
+    """Raises on its first call; every later call is slow but succeeds."""
+
+    def __init__(self):
+        super().__init__(1.0)
+        self.calls = []
+
+    def side_classifier(self, x):
+        self.calls.append(len(x))
+        if len(self.calls) == 1:
+            raise ValueError("classifier failed")
+        time.sleep(0.05)
+        return np.zeros(len(x), dtype=bool)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, None])
+def test_monte_carlo_worker_failure_stops_every_worker(monkeypatch, workers):
+    if workers is not None:
+        monkeypatch.setattr(tube, "MC_WORKERS", workers)
+    s = _FailsFirst()
+    with pytest.raises(ValueError, match="classifier failed"):
+        monte_carlo_volume(s, 1, n_samples=50 * MC_TILE)
+    assert 1 <= len(s.calls) <= tube.MC_WORKERS
+
+
+@pytest.mark.parametrize("n, workers", [(1000, None), (3 * MC_TILE, 3)])
+def test_imported_surface_freed_without_gc_after_mc(tmp_path, monkeypatch, n, workers):
+    # The classifier of an imported grid raises in every worker; re-raising
+    # one error must leave no reference cycle holding the surface.
+    if workers is not None:
+        monkeypatch.setattr(tube, "MC_WORKERS", workers)
+    path = tmp_path / "torus.csv"
+    export_grid(FlatTorus(0.6), 32, 32, path)
+    gc.collect()
+    gc.disable()
+    try:
+        surface = import_surface(path)
+        ref = weakref.ref(surface)
+        cert = verify_sum_inequality(surface, surface.natural_grid(), mc_samples=n)
+        assert cert.tube_reports[0].mc_volume is None
+        del surface
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_verify_with_mc_attached():
