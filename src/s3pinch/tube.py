@@ -27,9 +27,11 @@ DEFAULT_SAMPLES = 10 ** 6
 # Samples per tile, each tile its own Philox substream: memory does not grow
 # with n, and a 256 KB tile is reused by malloc, not re-faulted.
 MC_TILE = 2 ** 13
-# Threads that draw and classify tiles: the CPUs this process may run on.
+# Threads that draw and classify tiles: the CPUs this process may run on, each with
+# at least MC_WORKER_SAMPLES samples (with fewer, a thread added jitter, not speed).
 MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
+MC_WORKER_SAMPLES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
     from Philox(seed).jumped(t) and gives an integer count, so the sum depends on neither
     MC_WORKERS nor the scheduling.  An exception stops every worker before its next tile."""
     n = int(n_samples) if samples is None else len(samples)
-    workers = max(1, min(MC_WORKERS, math.ceil(n / MC_TILE)))
+    workers = max(1, min(MC_WORKERS, n // MC_WORKER_SAMPLES))
     counts, first_error, todo, lock = [0] * workers, {}, iter(range(0, n, MC_TILE)), threading.Lock()
 
     def work(w):

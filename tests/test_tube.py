@@ -238,6 +238,13 @@ def test_verify_mc_volumes_bit_identical_to_whole_draw():
     assert r2.mc_volume == expected[1]
 
 
+@pytest.fixture
+def tile_per_worker(monkeypatch):
+    # A worker per tile, so draws of a few tiles still start threads.
+    monkeypatch.setattr(tube, "MC_WORKER_SAMPLES", MC_TILE)
+
+
+@pytest.mark.usefixtures("tile_per_worker")
 @pytest.mark.parametrize("n", [3 * MC_TILE + 12345, 1000])
 def test_monte_carlo_same_for_every_worker_count(monkeypatch, n):
     s, seed = FlatTorus(0.6), 13
@@ -263,6 +270,16 @@ def test_monte_carlo_starts_no_thread_below_one_tile(monkeypatch):
     assert started == []
 
 
+@pytest.mark.parametrize("n, threads", [(2 * tube.MC_WORKER_SAMPLES - 1, 0),
+                                        (2 * tube.MC_WORKER_SAMPLES, 1)])
+def test_monte_carlo_worker_takes_at_least_min_samples(monkeypatch, n, threads):
+    started, start = [], tube.threading.Thread.start
+    monkeypatch.setattr(tube, "MC_WORKERS", 4)
+    monkeypatch.setattr(tube.threading.Thread, "start", lambda self: (started.append(self), start(self)))
+    monte_carlo_volume(FlatTorus(0.6), 1, n_samples=n)
+    assert len(started) == threads
+
+
 class _FailsFirst(GeodesicSphere):
     """Raises on its first call; every later call is slow but succeeds."""
 
@@ -278,6 +295,7 @@ class _FailsFirst(GeodesicSphere):
         return np.zeros(len(x), dtype=bool)
 
 
+@pytest.mark.usefixtures("tile_per_worker")
 @pytest.mark.parametrize("workers", [1, 2, 3, None])
 def test_monte_carlo_worker_failure_stops_every_worker(monkeypatch, workers):
     if workers is not None:
@@ -288,6 +306,7 @@ def test_monte_carlo_worker_failure_stops_every_worker(monkeypatch, workers):
     assert 1 <= len(s.calls) <= tube.MC_WORKERS
 
 
+@pytest.mark.usefixtures("tile_per_worker")
 @pytest.mark.parametrize("n, workers", [(1000, None), (3 * MC_TILE, 3)])
 def test_imported_surface_freed_without_gc_after_mc(tmp_path, monkeypatch, n, workers):
     # The classifier of an imported grid raises in every worker; re-raising
