@@ -37,7 +37,8 @@ class Surface:
     periodic_v: bool = True
     is_minimal: bool = False
     # True when the surface is known only at its sample nodes, so a coarser
-    # grid re-reads the same samples and cannot measure discretisation error.
+    # grid re-reads the same samples and cannot measure discretisation error,
+    # and it has no side classifier: verify_sum_inequality then skips MC.
     sampled: bool = False
 
     # Closed-form data, None when unavailable.

@@ -22,7 +22,7 @@ import numpy as np
 from .catalog import Surface
 from .errors import FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse
 from .geometry import SurfacePoint
-from .quadrature import QuadratureGrid
+from .quadrature import NODE_TILE, QuadratureGrid
 
 ON_SPHERE_TOL = 1e-6
 MIN_PERIODIC_RESOLUTION = 16
@@ -41,20 +41,19 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 def _derivative(values: np.ndarray, axis: int, h: float, order: int,
                 periodic: bool) -> np.ndarray:
     """Apply a 7-point finite-difference stencil along one axis: one centred
-    stencil for every periodic or interior node, one-sided weights for the
-    3 + 3 non-periodic boundary rows (Fornberg 1988)."""
+    stencil for every interior node (a periodic axis is padded with 3 wrapped rows
+    per end), one-sided weights for the 3 + 3 non-periodic boundary rows (Fornberg 1988)."""
     half = _STENCIL // 2
     w = _fd_weights(np.arange(-half, half + 1), order)
-    if periodic:
-        out = np.zeros_like(values)
-        for k, off in enumerate(range(-half, half + 1)):
-            out += w[k] * np.roll(values, -off, axis=axis)
-        return out / h ** order
     vals = np.moveaxis(values, axis, 0)
     n = len(vals)
+    pad = np.concatenate([vals[n - half:], vals, vals[:half]]) if periodic else vals
     res = np.empty_like(vals)
-    res[half:n - half] = sum(w[k] * vals[k:n - 2 * half + k] for k in range(_STENCIL))
-    for i in (*range(half), *range(n - half, n)):
+    inner = res if periodic else res[half:n - half]
+    np.multiply(w[0], pad[:len(inner)], out=inner)
+    for k in range(1, _STENCIL):
+        inner += w[k] * pad[k:k + len(inner)]
+    for i in () if periodic else (*range(half), *range(n - half, n)):
         start = min(max(i - half, 0), n - _STENCIL)
         wb = _fd_weights(np.arange(start, start + _STENCIL) - i, order)
         res[i] = np.tensordot(wb, vals[start:start + _STENCIL], axes=(0, 0))
@@ -129,7 +128,9 @@ class GridSurface(Surface):
 
 
 def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
-    """Sample a surface on a uniform grid and write the CSV grid file."""
+    """Sample a surface on a uniform grid and write the CSV grid file, in tiles of whole
+    u-rows (about NODE_TILE // 4 nodes): each distinct double of a tile, told apart by its
+    bits so that -0.0 stays -0.0, is printed once in repr's shortest round-trip digits."""
     def nodes(domain, n, periodic):
         lo, hi = domain
         if periodic:
@@ -140,10 +141,7 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
 
     xu = nodes(surface.domain_u, nu, surface.periodic_u)
     xv = nodes(surface.domain_v, nv, surface.periodic_v)
-    U, V = np.meshgrid(xu, xv, indexing="ij")
-    table = np.concatenate([U[..., None], V[..., None], surface.point(U, V).position], axis=-1)
-    # %r of a Python float is its shortest round-trip repr.
-    u_line = "%r,%r,%r,%r,%r,%r\n" * nv
+    u_line = "%s,%s,%s,%s,%s,%s\n" * nv
 
     def fmt_bool(b):
         return "true" if b else "false"
@@ -159,8 +157,15 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
             f"domain_v=[{fmt(surface.domain_v[0])},{fmt(surface.domain_v[1])}]\n"
         )
         fh.write("u,v,x1,x2,x3,x4\n")
-        for block in table:
-            fh.write(u_line % tuple(block.ravel().tolist()))
+        step = max(1, NODE_TILE // 4 // nv)
+        for i in range(0, nu, step):
+            U, V = np.meshgrid(xu[i:i + step], xv, indexing="ij")
+            table = np.dstack([U, V, surface.point(U, V).position])
+            bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+            text = list(map(repr, bits.view(np.float64).tolist()))
+            # numpy 1.x returns the inverse flat, 2.x in the table's shape.
+            for row in inverse.reshape(len(table), -1).tolist():
+                fh.write(u_line % tuple(map(text.__getitem__, row)))
 
 
 def _content_lines(fh):

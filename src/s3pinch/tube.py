@@ -70,9 +70,11 @@ def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float
 
 def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
     """(estimate, stderr) of sides 1 and 2.  Workers take tiles in turn; tile t is drawn
-    from Philox(seed).jumped(t) and gives an integer count, so the sum depends on neither
-    MC_WORKERS nor the scheduling.  An exception stops every worker before its next tile."""
+    from Philox(seed).jumped(t), built here as the seed's key at counter [0, 0, t, 0], and
+    gives an integer count, so the sum depends on neither MC_WORKERS nor the scheduling.
+    An exception stops every worker before its next tile."""
     n = int(n_samples) if samples is None else len(samples)
+    key = np.random.Philox(seed).state["state"]["key"]
     workers = max(1, min(MC_WORKERS, n // MC_WORKER_SAMPLES))
     counts, first_error, todo, lock = [0] * workers, {}, iter(range(0, n, MC_TILE)), threading.Lock()
 
@@ -85,7 +87,8 @@ def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
                     return
                 x = samples[i:i + MC_TILE] if samples is not None else sample_s3(
                     min(MC_TILE, n - i),
-                    np.random.Generator(np.random.Philox(seed).jumped(i // MC_TILE)))
+                    np.random.Generator(np.random.Philox(key=key,
+                                                         counter=[0, 0, i // MC_TILE, 0])))
                 counts[w] += int(np.count_nonzero(surface.side_classifier(x)))
         except BaseException as exc:
             first_error.setdefault("exc", exc)  # atomic: later errors are dropped
@@ -131,12 +134,8 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
     prop1_lhs = FOUR_PI_SQ * report.genus
 
     exact = surface.exact_side_volumes
-    mc = (None, None)
-    if mc_samples:
-        try:
-            mc = _mc_sides(surface, mc_samples, seed, None)
-        except NotImplementedError:
-            pass  # surface has no side classifier (e.g. imported grid)
+    mc = (_mc_sides(surface, mc_samples, seed, None) if mc_samples and not surface.sampled
+          else (None, None))
 
     tubes = [TubeReport(
         side=i + 1, hk_upper=sums.hk_upper[i],

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
+from s3pinch.catalog import FlatTorus, GeodesicSphere, PerturbedSphere, Surface, clifford_torus
 from s3pinch.cli import main
 from s3pinch.errors import (
     FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse, S3PinchError,
 )
-from s3pinch.gridio import GridSurface, _derivative, export_grid, import_surface
+from s3pinch.geometry import SurfacePoint
+from s3pinch.gridio import GridSurface, _derivative, _fd_weights, export_grid, import_surface
 from s3pinch.pinch import f_pinch
 from s3pinch.quadrature import genus_report, make_grid
 
@@ -104,8 +105,26 @@ def _reference_export(surface, nu, nv, path):
     return xu, xv
 
 
+class _SignedZeros(Surface):
+    """A great circle in v, the same for every u, with x3 = +-0.0 and x4 = -x3
+    alternating along v: 0.0 and -0.0 side by side, repeated in every row tile."""
+
+    name = "signed-zeros"
+
+    def point(self, u, v):
+        zero = np.where(np.arange(v.shape[-1]) % 2, -0.0, 0.0) * np.ones_like(u)
+        pos = np.stack([np.cos(v), np.sin(v), zero, -zero], axis=-1)
+        return SurfacePoint(pos, *[np.zeros_like(pos)] * 5)
+
+
+# Rows per export tile are 2**11 // nv: 24x40 and 70x100 are one and 3.5 tiles, 16x2100
+# has rows longer than a tile, and 300x16 repeats the signed zeros in 3 tiles.
 @pytest.mark.parametrize("surface, nu, nv", [(clifford_torus(), 32, 32),
-                                             (GeodesicSphere(1.1), 24, 40)])
+                                             (GeodesicSphere(1.1), 24, 40),
+                                             (PerturbedSphere(1.0, 0.05, 6, 4), 40, 24),
+                                             (FlatTorus(0.5), 70, 100),
+                                             (FlatTorus(0.6), 16, 2100),
+                                             (_SignedZeros(), 300, 16)])
 def test_export_bytes_match_reference_and_import_is_exact(tmp_path, surface, nu, nv):
     path = tmp_path / "grid.csv"
     export_grid(surface, nu, nv, path)
@@ -115,6 +134,7 @@ def test_export_bytes_match_reference_and_import_is_exact(tmp_path, surface, nu,
     exact = surface.point(*np.meshgrid(xu, xv, indexing="ij")).position
     assert np.array_equal(gs.nodes_u, xu) and np.array_equal(gs.nodes_v, xv)
     assert np.array_equal(gs.positions, exact)
+    assert np.array_equal(np.signbit(gs.positions), np.signbit(exact))
 
 
 def test_blank_lines_and_spaces_around_commas_import(tmp_path):
@@ -162,6 +182,19 @@ def test_derivative_matches_per_row_reference(n, order, periodic):
         got = _derivative(values, axis, 1.0, order, periodic)
         ref = _reference_derivative(values, axis, 1.0, order, periodic)
         assert np.max(np.abs(got - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_periodic_derivative_bit_identical_to_roll_sum(order):
+    # The np.roll sum the wrapped-row padding replaced, same weights, same order.
+    w = _fd_weights(np.arange(-3, 4), order)
+    rng = np.random.default_rng(order)
+    for axis, shape in ((0, (40, 33, 4)), (1, (33, 40, 4))):
+        values = rng.uniform(-1.0, 1.0, shape)
+        ref = np.zeros_like(values)
+        for k, off in enumerate(range(-3, 4)):
+            ref += w[k] * np.roll(values, -off, axis=axis)
+        assert np.array_equal(_derivative(values, axis, 0.1, order, True), ref / 0.1 ** order)
 
 
 def test_sphere_chart_import_has_no_coarse_probe(tmp_path):

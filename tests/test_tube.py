@@ -1,6 +1,7 @@
 """Tests for Heintze-Karcher tube-volume bounds and the inequality chain."""
 
 import gc
+import json
 import math
 import sys
 import time
@@ -14,7 +15,8 @@ from s3pinch.catalog import (
     FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus, sample_s3,
 )
 from s3pinch.errors import DomainError
-from s3pinch.gridio import export_grid, import_surface
+from s3pinch.cli import main
+from s3pinch.gridio import GridSurface, export_grid, import_surface
 from s3pinch.pinch import acot
 from s3pinch.quadrature import make_grid
 from s3pinch.tube import (
@@ -309,8 +311,8 @@ def test_monte_carlo_worker_failure_stops_every_worker(monkeypatch, workers):
 @pytest.mark.usefixtures("tile_per_worker")
 @pytest.mark.parametrize("n, workers", [(1000, None), (3 * MC_TILE, 3)])
 def test_imported_surface_freed_without_gc_after_mc(tmp_path, monkeypatch, n, workers):
-    # The classifier of an imported grid raises in every worker; re-raising
-    # one error must leave no reference cycle holding the surface.
+    # verify_sum_inequality skips MC on an imported grid; its report must still
+    # leave no reference cycle holding the surface.
     if workers is not None:
         monkeypatch.setattr(tube, "MC_WORKERS", workers)
     path = tmp_path / "torus.csv"
@@ -326,6 +328,56 @@ def test_imported_surface_freed_without_gc_after_mc(tmp_path, monkeypatch, n, wo
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.usefixtures("tile_per_worker")
+@pytest.mark.parametrize("n, workers", [(1000, None), (3 * MC_TILE, 3)])
+def test_imported_surface_freed_without_gc_after_direct_mc(tmp_path, monkeypatch, n, workers):
+    # The classifier of an imported grid raises in every worker; re-raising
+    # one error must leave no reference cycle holding the surface.
+    if workers is not None:
+        monkeypatch.setattr(tube, "MC_WORKERS", workers)
+    path = tmp_path / "torus.csv"
+    export_grid(FlatTorus(0.6), 32, 32, path)
+    gc.collect()
+    gc.disable()
+    try:
+        surface = import_surface(path)
+        ref = weakref.ref(surface)
+        with pytest.raises(NotImplementedError):
+            monte_carlo_volume(surface, 1, n_samples=n)
+        del surface
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_imported_check_draws_no_samples(tmp_path, monkeypatch, capsys):
+    # At 2**19 samples a catalog surface would start a worker thread; an
+    # imported grid has no classifier, so its certificate draws nothing.
+    started, classified, start = [], [], tube.threading.Thread.start
+    monkeypatch.setattr(tube, "MC_WORKERS", 4)
+    monkeypatch.setattr(tube.threading.Thread, "start", lambda self: (started.append(self), start(self)))
+    monkeypatch.setattr(tube, "sample_s3", lambda *a: classified.append("draw"))
+    monkeypatch.setattr(GridSurface, "side_classifier", lambda self, x: classified.append(x))
+    path = tmp_path / "torus.csv"
+    export_grid(FlatTorus(0.6), 32, 32, path)
+    assert main(["--samples", str(2 ** 19), "import", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["tube_reports"][0]["mc_volume"] is None
+    assert started == [] and classified == []
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 7])
+def test_tile_generators_are_jumped_substreams(monkeypatch, seed):
+    # Tile t's generator must have the state of Philox(seed).jumped(t).
+    tiles, states = (0, 1, 2, 7, 244, 1000), []
+    monkeypatch.setattr(tube, "MC_WORKERS", 1)
+    monkeypatch.setattr(tube, "sample_s3", lambda n, rng: (
+        states.append(rng.bit_generator.state), np.empty((n, 4)))[1])
+    monkeypatch.setattr(GeodesicSphere, "side_classifier", lambda self, x: np.zeros(len(x), bool))
+    monte_carlo_volume(GeodesicSphere(1.0), 1, n_samples=(tiles[-1] + 1) * MC_TILE, seed=seed)
+    for t in tiles:
+        np.testing.assert_equal(states[t], np.random.Philox(seed).jumped(t).state)
 
 
 def test_verify_with_mc_attached():
