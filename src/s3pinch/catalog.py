@@ -82,20 +82,14 @@ class GeodesicSphere(Surface):
         self.exact_principal_curvatures = (k, k)
 
     def point(self, u, v) -> SurfacePoint:
-        phi, th = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        phi, th = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         sr, cr = math.sin(self.r), math.cos(self.r)
         st, ct = np.sin(th), np.cos(th)
         sp_, cp = np.sin(phi), np.cos(phi)
-        zeros = np.zeros_like(th)
-        cr_arr = np.full_like(th, cr)
-
-        pos = np.stack([sr * st * cp, sr * st * sp_, sr * ct, cr_arr], axis=-1)
-        du = np.stack([-sr * st * sp_, sr * st * cp, zeros, zeros], axis=-1)
-        dv = np.stack([sr * ct * cp, sr * ct * sp_, -sr * st, zeros], axis=-1)
-        duu = np.stack([-sr * st * cp, -sr * st * sp_, zeros, zeros], axis=-1)
-        duv = np.stack([-sr * ct * sp_, sr * ct * cp, zeros, zeros], axis=-1)
-        dvv = np.stack([-sr * st * cp, -sr * st * sp_, -sr * ct, zeros], axis=-1)
-        return SurfacePoint(pos, du, dv, duu, duv, dvv)
+        x, y, z = sr * st * cp, sr * st * sp_, sr * ct
+        dv = (sr * ct * cp, sr * ct * sp_, -sr * st, 0.0)
+        return SurfacePoint((x, y, z, cr), (-y, x, 0.0, 0.0), dv, (-x, -y, 0.0, 0.0),
+                            (-dv[1], dv[0], 0.0, 0.0), (-x, -y, -z, 0.0))
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[..., 3] > math.cos(self.r)
@@ -123,19 +117,11 @@ class FlatTorus(Surface):
             self.exact_lambda1 = 2.0
 
     def point(self, u, v) -> SurfacePoint:
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        a, b = self.a, self.b
-        cu, su = np.cos(u), np.sin(u)
-        cv, sv = np.cos(v), np.sin(v)
-        zeros = np.zeros_like(u)
-
-        pos = np.stack([a * cu, a * su, b * cv, b * sv], axis=-1)
-        du = np.stack([-a * su, a * cu, zeros, zeros], axis=-1)
-        dv = np.stack([zeros, zeros, -b * sv, b * cv], axis=-1)
-        duu = np.stack([-a * cu, -a * su, zeros, zeros], axis=-1)
-        duv = np.stack([zeros, zeros, zeros, zeros], axis=-1)
-        dvv = np.stack([zeros, zeros, -b * cv, -b * sv], axis=-1)
-        return SurfacePoint(pos, du, dv, duu, duv, dvv)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        x, y = self.a * np.cos(u), self.a * np.sin(u)
+        z, w = self.b * np.cos(v), self.b * np.sin(v)
+        return SurfacePoint((x, y, z, w), (-y, x, 0.0, 0.0), (0.0, 0.0, -w, z),
+                            (-x, -y, 0.0, 0.0), (0.0,) * 4, (0.0, 0.0, -z, -w))
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -214,7 +200,7 @@ class PerturbedSphere(Surface):
     def _check_immersion(self, n: int) -> None:
         uu = np.linspace(0.0, TWO_PI, n, endpoint=False)
         vv = np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n)
-        U, V = np.meshgrid(uu, vv, indexing="ij")
+        U, V = uu[:, None], vv[None, :]
         rho = self._rho(U, V)
         if np.any(rho <= 0.0) or np.any(rho >= math.pi):
             raise DomainError("perturbed radius leaves (0, pi); reduce eps")
@@ -226,30 +212,32 @@ class PerturbedSphere(Surface):
     def point(self, u, v) -> SurfacePoint:
         # Chain rule through pos = sin(rho) * d + cos(rho) * e4, where d is the
         # unit direction (theta, phi) in the first three coordinates and
-        # tang = d pos / d rho has d tang / d rho = -pos.
-        phi, th = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        rho, r_u, r_v, r_uu, r_uv, r_vv = (x[..., None] for x in self._rho(phi, th, partials=True))
+        # tang = d pos / d rho has d tang / d rho = -pos.  The d's below hold
+        # the first three components; the fourth is e4's.
+        phi, th = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        rho, r_u, r_v, r_uu, r_uv, r_vv = self._rho(phi, th, partials=True)
         st, ct = np.sin(th), np.cos(th)
         sp_, cp = np.sin(phi), np.cos(phi)
-        zeros = np.zeros_like(th)
-        d = np.stack([st * cp, st * sp_, ct, zeros], axis=-1)
-        d_u = np.stack([-st * sp_, st * cp, zeros, zeros], axis=-1)
-        d_v = np.stack([ct * cp, ct * sp_, -st, zeros], axis=-1)
-        d_uu = np.stack([-st * cp, -st * sp_, zeros, zeros], axis=-1)
-        d_uv = np.stack([-ct * sp_, ct * cp, zeros, zeros], axis=-1)
-        e4 = np.array([0.0, 0.0, 0.0, 1.0])
+        d = (st * cp, st * sp_, ct)
+        d_u = (-st * sp_, st * cp, 0.0)
+        d_v = (ct * cp, ct * sp_, -st)
         sr, cr = np.sin(rho), np.cos(rho)
-        pos = sr * d + cr * e4
-        tang = cr * d - sr * e4
+        pos = (*(sr * x for x in d), cr)
+        tang = (*(cr * x for x in d), -sr)
+
+        def first(r_x, d_x):
+            return (*(r_x * t + sr * x for t, x in zip(tang, d_x)), r_x * tang[3])
 
         def second(r_x, r_y, r_xy, d_x, d_y, d_xy):
-            return r_xy * tang - r_x * r_y * pos + cr * (r_x * d_y + r_y * d_x) + sr * d_xy
+            return (*(r_xy * t - r_x * r_y * p + cr * (r_x * y + r_y * x) + sr * xy
+                      for t, p, x, y, xy in zip(tang, pos, d_x, d_y, d_xy)),
+                    r_xy * tang[3] - r_x * r_y * pos[3])
 
         return SurfacePoint(
-            pos, r_u * tang + sr * d_u, r_v * tang + sr * d_v,
-            second(r_u, r_u, r_uu, d_u, d_u, d_uu),
-            second(r_u, r_v, r_uv, d_u, d_v, d_uv),
-            second(r_v, r_v, r_vv, d_v, d_v, -d),
+            pos, first(r_u, d_u), first(r_v, d_v),
+            second(r_u, r_u, r_uu, d_u, d_u, (-d[0], -d[1], 0.0)),
+            second(r_u, r_v, r_uv, d_u, d_v, (-ct * sp_, ct * cp, 0.0)),
+            second(r_v, r_v, r_vv, d_v, d_v, tuple(-x for x in d)),
         )
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
@@ -262,9 +250,9 @@ class PerturbedSphere(Surface):
 
 
 def sample_s3(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform samples on S^3 via normalized 4-d Gaussian draws."""
+    """n uniform samples on S^3 via normalized 4-d Gaussian draws, as (n, 4) rows."""
     x = rng.standard_normal((n, 4))
-    return np.divide(x, np.sqrt(dot(x, x))[:, None], out=x)
+    return np.divide(x, np.sqrt(dot(x.T, x.T))[:, None], out=x)
 
 
 def parse_surface(spec: str) -> Surface:

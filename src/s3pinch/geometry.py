@@ -1,13 +1,15 @@
 """Pointwise extrinsic geometry of surfaces immersed in the unit 3-sphere.
 
 A surface point carries the immersion value (a unit 4-vector) together with
-first and second parameter partials.  All operations broadcast over leading
-array dimensions, so a whole quadrature grid can be processed in one call;
-scalars work the same way with shape-(4,) vectors.
+first and second parameter partials.  Every 4-vector is component-first: four
+components that broadcast to the batch shape, a constant one as a plain float,
+so a factor of u alone or v alone keeps its (Nu, 1) or (1, Nv) shape while a
+whole quadrature grid is one call; a shape-(4,) array is one point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +26,18 @@ UMBILIC_TOL = 1e-10
 class SurfacePoint:
     """Immersion value and parameter partials at one point (or a batch).
 
-    ``position`` must be a unit 4-vector tangent-orthogonal to ``du`` and
-    ``dv``; ``duu``, ``duv``, ``dvv`` are the raw second partials of the
-    immersion into 4-space.
+    Each field is a 4-sequence of components that broadcast to the batch
+    shape; a constant component may be a float.  ``position`` must be a unit
+    4-vector tangent-orthogonal to ``du`` and ``dv``; ``duu``, ``duv``, ``dvv``
+    are the raw second partials of the immersion into 4-space.
     """
 
-    position: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
-    duu: np.ndarray
-    duv: np.ndarray
-    dvv: np.ndarray
+    position: Sequence
+    du: Sequence
+    dv: Sequence
+    duu: Sequence
+    duv: Sequence
+    dvv: Sequence
 
 
 @dataclass(frozen=True)
@@ -49,29 +52,27 @@ class CurvatureData:
     area_element: np.ndarray  # sqrt(E*G - F^2)
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product over the trailing axis of 4-vectors: np.sum's bits at a third of its cost."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
+def dot(a: Sequence, b: Sequence):
+    """Inner product of component-first 4-vectors, summed in np.sum's order and bits."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-def cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def cross4(a: Sequence, b: Sequence, c: Sequence) -> tuple:
     """Generalized cross product in 4-space: n_i = eps_{ijkl} a_j b_k c_l.
 
     The result is orthogonal to all three arguments and its orientation is
-    fixed by the argument order.
+    fixed by the argument order; its components broadcast like theirs.
     """
     # Cofactor expansion along a over the six 2x2 minors of (b, c).
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
-        np.moveaxis(np.asarray(x, dtype=float), -1, 0) for x in (a, b, c))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = a, b, c
     m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
     m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
-    return np.stack((
+    return (
         a1 * m23 - a2 * m13 + a3 * m12,
         a2 * m03 - a0 * m23 - a3 * m02,
         a0 * m13 - a1 * m03 + a3 * m01,
         a1 * m02 - a0 * m12 - a2 * m01,
-    ), axis=-1)
+    )
 
 
 def first_fundamental_form(p: SurfacePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,7 +85,8 @@ def tangent_normal_frame(p: SurfacePoint, row0: int = 0):
 
     The normal is the normalized 4-dimensional cross product of
     ``(position, du, dv)``, hence orthogonal to the sphere radius and to both
-    tangent vectors, with a deterministic orientation.
+    tangent vectors, with a deterministic orientation.  The normal's four
+    components and E, F, G are broadcast to the batch shape.
 
     Raises
     ------
@@ -96,19 +98,22 @@ def tangent_normal_frame(p: SurfacePoint, row0: int = 0):
     det = E * G - F * F
     bad = det <= DEGENERACY_RTOL * E * G
     if np.any(bad):
-        where = tuple(np.argwhere(np.atleast_1d(bad))[0])
+        bad, det = np.atleast_1d(*np.broadcast_arrays(bad, det, *p.position, *p.du, *p.dv)[:2])
+        where = tuple(np.argwhere(bad)[0])
         index = (int(where[0]) + row0, *map(int, where[1:]))
         raise DegenerateMetric(
             f"first fundamental form degenerate at batch index {index}: "
-            f"EG-F^2 = {np.atleast_1d(det)[where]:.3e}"
+            f"EG-F^2 = {det[where]:.3e}"
         )
     nu = cross4(p.position, p.du, p.dv)
-    nu = nu / np.sqrt(dot(nu, nu))[..., None]
-    return nu, (E, F, G)
+    # Every component of position, du and dv enters |nu|, so it has the batch shape.
+    norm = np.sqrt(dot(nu, nu))
+    return tuple(x / norm for x in nu), tuple(np.broadcast_to(x, norm.shape) for x in (E, F, G))
 
 
 def curvature_at(p: SurfacePoint, row0: int = 0) -> CurvatureData:
-    """Principal curvatures and derived invariants at a surface point.
+    """Principal curvatures and derived invariants at a surface point, each in
+    the batch shape (that of the frame, whose E, F, G are broadcast to it).
 
     k1 <= k2 are the eigenvalues of the shape operator I^{-1} II, where the
     second fundamental form is read off the raw 4-space second partials

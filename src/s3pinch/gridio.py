@@ -60,8 +60,18 @@ def _derivative(values: np.ndarray, axis: int, h: float, order: int,
     return np.moveaxis(res, 0, axis) / h ** order
 
 
+def _check_resolution(nu: int, nv: int, periodic_u: bool, periodic_v: bool) -> None:
+    """ResolutionTooCoarse unless each direction has the nodes its stencil needs."""
+    for n, periodic in ((nu, periodic_u), (nv, periodic_v)):
+        if n < (MIN_PERIODIC_RESOLUTION if periodic else _STENCIL):
+            raise ResolutionTooCoarse(
+                f"need >= {MIN_PERIODIC_RESOLUTION} nodes per periodic direction and >= "
+                f"{_STENCIL} per non-periodic direction ({_STENCIL}-point stencil), got {nu}x{nv}")
+
+
 class GridSurface(Surface):
-    """Surface defined by position samples on a uniform parameter grid."""
+    """Surface defined by position samples on a uniform parameter grid, kept with their FD
+    partials as (4, Nu, Nv) arrays; ``positions`` may be 4 components broadcasting to (Nu, Nv)."""
 
     sampled = True
 
@@ -69,7 +79,9 @@ class GridSurface(Surface):
                  periodic_u, periodic_v, name="imported"):
         self.nodes_u = np.asarray(nodes_u, dtype=float)
         self.nodes_v = np.asarray(nodes_v, dtype=float)
-        self.positions = np.asarray(positions, dtype=float)
+        if not isinstance(positions, np.ndarray):  # an array is kept, not copied
+            positions = np.array(np.broadcast_arrays(*positions))
+        self.positions = X = np.asarray(positions, dtype=float)
         self.domain_u = domain_u
         self.domain_v = domain_v
         self.periodic_u = periodic_u
@@ -78,12 +90,10 @@ class GridSurface(Surface):
 
         hu = self.nodes_u[1] - self.nodes_u[0]
         hv = self.nodes_v[1] - self.nodes_v[0]
-        X = self.positions
-        self._du = _derivative(X, 0, hu, 1, periodic_u)
-        self._dv = _derivative(X, 1, hv, 1, periodic_v)
-        self._duu = _derivative(X, 0, hu, 2, periodic_u)
-        self._dvv = _derivative(X, 1, hv, 2, periodic_v)
-        self._duv = _derivative(self._du, 1, hv, 1, periodic_v)
+        du = _derivative(X, 1, hu, 1, periodic_u)
+        self._fields = (X, du, _derivative(X, 2, hv, 1, periodic_v),
+                        _derivative(X, 1, hu, 2, periodic_u), _derivative(du, 2, hv, 1, periodic_v),
+                        _derivative(X, 2, hv, 2, periodic_v))
 
     def _indices(self, coords, nodes) -> np.ndarray:
         h = nodes[1] - nodes[0]
@@ -94,13 +104,9 @@ class GridSurface(Surface):
         return idx
 
     def point(self, u, v) -> SurfacePoint:
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         i = self._indices(u, self.nodes_u)
         j = self._indices(v, self.nodes_v)
-        return SurfacePoint(
-            self.positions[i, j], self._du[i, j], self._dv[i, j],
-            self._duu[i, j], self._duv[i, j], self._dvv[i, j],
-        )
+        return SurfacePoint(*(x[:, i, j] for x in self._fields))
 
     def natural_grid(self) -> QuadratureGrid:
         """Quadrature grid over the sample nodes.
@@ -130,7 +136,8 @@ class GridSurface(Surface):
 def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
     """Sample a surface on a uniform grid and write the CSV grid file, in tiles of whole
     u-rows (about NODE_TILE // 4 nodes): each distinct double of a tile, told apart by its
-    bits so that -0.0 stays -0.0, is printed once in repr's shortest round-trip digits."""
+    bits so that -0.0 stays -0.0, is printed once in repr's shortest round-trip digits.
+    A resolution import_surface would reject raises ResolutionTooCoarse first."""
     def nodes(domain, n, periodic):
         lo, hi = domain
         if periodic:
@@ -139,6 +146,7 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
         # poles of a sphere chart) out of the sample set.
         return lo + (hi - lo) * (np.arange(n) + 0.5) / n
 
+    _check_resolution(nu, nv, surface.periodic_u, surface.periodic_v)
     xu = nodes(surface.domain_u, nu, surface.periodic_u)
     xv = nodes(surface.domain_v, nv, surface.periodic_v)
     u_line = "%s,%s,%s,%s,%s,%s\n" * nv
@@ -159,8 +167,8 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
         fh.write("u,v,x1,x2,x3,x4\n")
         step = max(1, NODE_TILE // 4 // nv)
         for i in range(0, nu, step):
-            U, V = np.meshgrid(xu[i:i + step], xv, indexing="ij")
-            table = np.dstack([U, V, surface.point(U, V).position])
+            uv = xu[i:i + step, None], xv[None, :]
+            table = np.stack(np.broadcast_arrays(*uv, *surface.point(*uv).position), axis=-1)
             bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
             text = list(map(repr, bits.view(np.float64).tolist()))
             # numpy 1.x returns the inverse flat, 2.x in the table's shape.
@@ -225,18 +233,14 @@ def import_surface(path) -> GridSurface:
     if not np.allclose(data[:, 0], np.repeat(nodes_u, nv)) or \
        not np.allclose(data[:, 1], np.tile(nodes_v, nu)):
         raise FormatError("rows are not row-major over a uniform grid")
-    for n, periodic in ((nu, periodic_u), (nv, periodic_v)):
-        if n < (MIN_PERIODIC_RESOLUTION if periodic else _STENCIL):
-            raise ResolutionTooCoarse(
-                f"need >= {MIN_PERIODIC_RESOLUTION} nodes per periodic direction and >= "
-                f"{_STENCIL} per non-periodic direction ({_STENCIL}-point stencil), got {nu}x{nv}")
+    _check_resolution(nu, nv, periodic_u, periodic_v)
     for nodes in (nodes_u, nodes_v):
         steps = np.diff(nodes)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise FormatError("grid nodes are not uniformly spaced")
 
-    pos = data[:, 2:].reshape(nu, nv, 4)
-    norms = np.linalg.norm(pos, axis=-1)
+    pos = data[:, 2:].T.reshape(4, nu, nv)
+    norms = np.linalg.norm(pos, axis=0)
     if np.any(np.abs(norms - 1.0) > ON_SPHERE_TOL):
         bad = np.unravel_index(int(np.argmax(np.abs(norms - 1.0))), norms.shape)
         raise OffSphere(f"sample at grid index {bad} has norm {norms[bad]!r}")

@@ -73,8 +73,8 @@ def make_grid(surface: Surface, nu: int, nv: int) -> QuadratureGrid:
 def _node_data(surface: Surface, grid: QuadratureGrid, rows=slice(None)):
     """Curvature data and weighted area element at the nodes of the u-rows
     ``rows`` of the grid (all of them by default)."""
-    U, V = np.meshgrid(grid.nodes_u[rows], grid.nodes_v, indexing="ij")
-    cd = curvature_at(surface.point(U, V), row0=rows.start or 0)
+    p = surface.point(grid.nodes_u[rows][:, None], grid.nodes_v[None, :])
+    cd = curvature_at(p, row0=rows.start or 0)
     return cd, grid.weights[rows] * cd.area_element
 
 

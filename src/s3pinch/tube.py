@@ -74,6 +74,8 @@ def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
     gives an integer count, so the sum depends on neither MC_WORKERS nor the scheduling.
     An exception stops every worker before its next tile."""
     n = int(n_samples) if samples is None else len(samples)
+    if n < 1:
+        raise DomainError(f"need at least one Monte-Carlo sample, got {n}")
     key = np.random.Philox(seed).state["state"]["key"]
     workers = max(1, min(MC_WORKERS, n // MC_WORKER_SAMPLES))
     counts, first_error, todo, lock = [0] * workers, {}, iter(range(0, n, MC_TILE)), threading.Lock()

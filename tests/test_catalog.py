@@ -11,16 +11,25 @@ from s3pinch import (
     curvature_at, parse_surface, sample_s3, tangent_normal_frame,
 )
 from s3pinch.geometry import dot
+from s3pinch.gridio import export_grid, import_surface
+from s3pinch.quadrature import make_grid
 from s3pinch.tube import MC_TILE
 
 PI = math.pi
 S3_VOLUME = 2 * PI ** 2
 RNG = np.random.default_rng(11)
 
+
+def rows(vec):
+    """A component-first 4-vector as one (..., 4) array."""
+    return np.stack(np.broadcast_arrays(*vec), axis=-1)
+
+
 CATALOG = [
     GeodesicSphere(PI / 4), GeodesicSphere(PI / 2), FlatTorus(0.6),
     clifford_torus(), PerturbedSphere(PI / 3, 0.1, 2, 0),
 ]
+FIELDS = ("position", "du", "dv", "duu", "duv", "dvv")
 
 
 def random_params(surface, n):
@@ -35,9 +44,10 @@ def test_parametrization_lands_on_sphere():
     for surface in CATALOG:
         u, v = random_params(surface, 300)
         p = surface.point(u, v)
-        assert np.allclose(np.linalg.norm(p.position, axis=-1), 1.0, atol=1e-12)
-        assert np.all(np.abs(np.sum(p.position * p.du, axis=-1)) < 1e-8)
-        assert np.all(np.abs(np.sum(p.position * p.dv, axis=-1)) < 1e-8)
+        pos, du, dv = rows(p.position), rows(p.du), rows(p.dv)
+        assert np.allclose(np.linalg.norm(pos, axis=-1), 1.0, atol=1e-12)
+        assert np.all(np.abs(np.sum(pos * du, axis=-1)) < 1e-8)
+        assert np.all(np.abs(np.sum(pos * dv, axis=-1)) < 1e-8)
 
 
 def test_minimality_flags():
@@ -104,11 +114,11 @@ def test_side_classifier_consistent_with_normal():
     for surface in CATALOG:
         u, v = random_params(surface, 100)
         p = surface.point(u, v)
-        nu, _ = tangent_normal_frame(p)
+        pos, nu = rows(p.position), rows(tangent_normal_frame(p)[0])
         for i in range(0, 100, 7):
             # The normal geodesic cos(t) p + sin(t) nu at t = +-0.01.
-            fwd = math.cos(0.01) * p.position[i] + math.sin(0.01) * nu[i]
-            back = math.cos(0.01) * p.position[i] - math.sin(0.01) * nu[i]
+            fwd = math.cos(0.01) * pos[i] + math.sin(0.01) * nu[i]
+            back = math.cos(0.01) * pos[i] - math.sin(0.01) * nu[i]
             assert surface.side_classifier(fwd), surface.name
             assert not surface.side_classifier(back), surface.name
 
@@ -135,7 +145,7 @@ def test_sample_s3_bits_match_normal_draw(n, seed):
     # sample_s3 fills with standard_normal; the points must stay those of
     # rng.normal, so callers passing samples= see the same set.
     x = np.random.Generator(np.random.Philox(seed)).normal(size=(n, 4))
-    expected = x / np.sqrt(dot(x, x))[:, None]
+    expected = x / np.sqrt(dot(x.T, x.T))[:, None]
     got = sample_s3(n, np.random.Generator(np.random.Philox(seed)))
     assert got.tobytes() == expected.tobytes()
 
@@ -145,8 +155,8 @@ def test_perturbed_sphere_reduces_to_round_sphere_at_zero_eps():
     gs = GeodesicSphere(1.0)
     u, v = random_params(gs, 50)
     a, b = ps.point(u, v), gs.point(u, v)
-    for field in ("position", "du", "dv", "duu", "duv", "dvv"):
-        assert np.allclose(getattr(a, field), getattr(b, field), atol=1e-12)
+    for field in FIELDS:
+        assert np.allclose(rows(getattr(a, field)), rows(getattr(b, field)), atol=1e-12)
 
 
 def test_perturbed_sphere_nonzero_modes():
@@ -156,6 +166,38 @@ def test_perturbed_sphere_nonzero_modes():
         cd = curvature_at(ps.point(u, v))
         assert np.all(np.isfinite(cd.k1))
         assert np.any(cd.traceless_norm > 1e-3)
+
+
+@pytest.mark.parametrize("surface", [
+    GeodesicSphere(0.8), FlatTorus(0.55), PerturbedSphere(1.1, 0.08, 4, 0),
+    PerturbedSphere(1.1, 0.08, 3, 2), PerturbedSphere(1.1, 0.08, 4, -3), "import",
+], ids=["sphere", "torus", "psphere-m0", "psphere-m2", "psphere-m-3", "import"])
+def test_tensor_product_point_gives_the_meshgrid_bits(surface, tmp_path):
+    # point(u[:, None], v[None, :]) evaluates u-only and v-only factors once per
+    # row or column; broadcast, its components and curvatures are bit for bit
+    # those of point(U, V) on the full meshgrid.
+    if surface == "import":
+        export_grid(PerturbedSphere(1.0, 0.1, 3, -1), 32, 24, tmp_path / "grid.csv")
+        surface = import_surface(tmp_path / "grid.csv")
+        grid = surface.natural_grid()
+    else:
+        grid = make_grid(surface, 32, 24)
+    u, v = grid.nodes_u, grid.nodes_v
+    U, V = np.meshgrid(u, v, indexing="ij")
+
+    def bits(x):
+        return np.broadcast_to(x, U.shape).tobytes()
+
+    tp, full = surface.point(u[:, None], v[None, :]), surface.point(U, V)
+    for name in FIELDS:
+        a, b = getattr(tp, name), getattr(full, name)
+        assert len(a) == len(b) == 4
+        assert [bits(x) for x in a] == [bits(x) for x in b], name
+    ca, cb = curvature_at(tp), curvature_at(full)
+    for name in vars(ca):
+        assert bits(getattr(ca, name)) == bits(getattr(cb, name)), name
+    if isinstance(surface, FlatTorus):
+        assert [np.shape(x) for x in tp.position] == [(32, 1)] * 2 + [(1, 24)] * 2
 
 
 def _sympy_reference(l, m, r, eps):
@@ -189,9 +231,9 @@ def test_perturbed_sphere_matches_sympy_oracle(l, m):
     v = np.concatenate([rng.uniform(0.0, PI, 200), np.repeat([0.0, PI], 20)])
     *fields, _ = reference(u, v)
     p = ps.point(u, v)
-    for name, ref in zip(("position", "du", "dv", "duu", "duv", "dvv"), fields):
+    for name, ref in zip(FIELDS, fields):
         ref = np.stack([np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in ref], -1)
-        got = getattr(p, name)
+        got = rows(getattr(p, name))
         assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (name, l, m)
 
     x = sample_s3(20000, np.random.default_rng(7))

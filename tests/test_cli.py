@@ -291,12 +291,14 @@ def test_import_bad_file_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("nu, nv, rows", [(32, 32, 1), (32, 5, None)])
 def test_import_too_coarse_exits_2(capsys, tmp_path, nu, nv, rows):
-    # One data row, and a sphere chart below the 7-point stencil.
+    # One data row, and a sphere chart below the 7-point stencil: export_grid
+    # refuses nv < 7, so keep the first nv nodes of each u-line of a wider grid.
     path = tmp_path / "coarse.csv"
-    export_grid(GeodesicSphere(1.0), nu, nv, path)
-    if rows is not None:
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:2 + rows]) + "\n")
+    width = max(nv, 7)
+    export_grid(GeodesicSphere(1.0), nu, width, path)
+    lines = path.read_text().splitlines()
+    data = [ln for k, ln in enumerate(lines[2:]) if k % width < nv][:rows]
+    path.write_text("\n".join(lines[:2] + data) + "\n")
     assert main(["import", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "per non-periodic direction" in err

@@ -7,9 +7,19 @@ from s3pinch import (
     DegenerateMetric, FlatTorus, GeodesicSphere, SurfacePoint, clifford_torus,
     cross4, curvature_at, tangent_normal_frame,
 )
-from s3pinch.geometry import dot
+from s3pinch.geometry import dot, first_fundamental_form
 
 RNG = np.random.default_rng(42)
+
+
+def rows(vec):
+    """A component-first 4-vector as one (..., 4) array."""
+    return np.stack(np.broadcast_arrays(*vec), axis=-1)
+
+
+def comps(x):
+    """A (..., 4) array as a component-first 4-vector."""
+    return tuple(np.moveaxis(x, -1, 0))
 
 
 def random_params(surface, n):
@@ -35,7 +45,7 @@ def _cross4_by_det(a, b, c):
 def test_cross4_matches_determinant_reference(shape):
     rng = np.random.default_rng(7)
     a, b, c = (rng.normal(size=shape) for _ in range(3))
-    n = cross4(a, b, c)
+    n = rows(cross4(comps(a), comps(b), comps(c)))
     ref = _cross4_by_det(a, b, c)
     assert n.shape == ref.shape == shape
     assert np.max(np.abs(n - ref)) < 1e-13
@@ -50,13 +60,14 @@ def test_cross4_broadcasts_a_single_vector():
     rng = np.random.default_rng(8)
     a = rng.normal(size=4)
     b, c = rng.normal(size=(2, 5, 3, 4))
-    assert np.max(np.abs(cross4(a, b, c) - _cross4_by_det(a, b, c))) < 1e-13
+    n = rows(cross4(a, comps(b), comps(c)))
+    assert np.max(np.abs(n - _cross4_by_det(a, b, c))) < 1e-13
 
 
 def test_cross4_orthogonal_to_arguments():
     for _ in range(50):
         a, b, c = RNG.normal(size=(3, 4))
-        n = cross4(a, b, c)
+        n = np.array(cross4(a, b, c))
         assert abs(n @ a) < 1e-12 * np.linalg.norm(n)
         assert abs(n @ b) < 1e-12 * np.linalg.norm(n)
         assert abs(n @ c) < 1e-12 * np.linalg.norm(n)
@@ -67,7 +78,7 @@ def test_dot_gives_numpy_sum_bits(shape):
     # Frames and S^3 samples are normalised with `dot`; equal bits keep the
     # Monte-Carlo counts and every node value identical to np.sum's.
     a, b = RNG.normal(size=(2, *shape))
-    assert np.array_equal(dot(a, b), np.sum(a * b, axis=-1))
+    assert np.array_equal(dot(comps(a), comps(b)), np.sum(a * b, axis=-1))
 
 
 def test_frame_orthonormality_on_random_points():
@@ -75,23 +86,24 @@ def test_frame_orthonormality_on_random_points():
         u, v = random_params(surface, 200)
         p = surface.point(u, v)
         nu, (E, F, G) = tangent_normal_frame(p)
+        nu, pos, du, dv = map(rows, (nu, p.position, p.du, p.dv))
         assert np.allclose(np.linalg.norm(nu, axis=-1), 1.0, atol=1e-12)
-        assert np.all(np.abs(np.sum(nu * p.position, axis=-1)) < 1e-12)
-        assert np.all(np.abs(np.sum(nu * p.du, axis=-1)) < 1e-12 * np.sqrt(E))
-        assert np.all(np.abs(np.sum(nu * p.dv, axis=-1)) < 1e-12 * np.sqrt(G))
+        assert np.all(np.abs(np.sum(nu * pos, axis=-1)) < 1e-12)
+        assert np.all(np.abs(np.sum(nu * du, axis=-1)) < 1e-12 * np.sqrt(E))
+        assert np.all(np.abs(np.sum(nu * dv, axis=-1)) < 1e-12 * np.sqrt(G))
 
 
 def test_clifford_normal_at_origin_of_chart():
     p = clifford_torus().point(0.0, 0.0)
     nu, _ = tangent_normal_frame(p)
     expected = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)
-    assert np.allclose(np.abs(nu @ expected), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(rows(nu) @ expected), 1.0, atol=1e-12)
 
 
 def test_equator_normal_is_fourth_axis():
     surface = GeodesicSphere(math.pi / 2)
     u, v = random_params(surface, 50)
-    nu, _ = tangent_normal_frame(surface.point(u, v))
+    nu = rows(tangent_normal_frame(surface.point(u, v))[0])
     assert np.allclose(np.abs(nu[..., 3]), 1.0, atol=1e-12)
     assert np.allclose(nu[..., :3], 0.0, atol=1e-12)
 
@@ -105,6 +117,23 @@ def test_degenerate_metric_raises():
     )
     with pytest.raises(DegenerateMetric):
         tangent_normal_frame(p)
+
+
+@pytest.mark.parametrize("axis, index", [(1, (3, 4)), (0, (5, 0))], ids=["v-only", "u-only"])
+def test_degenerate_metric_of_one_parameter_names_the_node(axis, index):
+    # du is constant and dv vanishes on one v column (or u row) alone, so E, F
+    # and G have a (1, 7) (or (5, 1)) shape under the (5, 7) position; the
+    # error names the first degenerate node of the batch, its row offset by row0.
+    u, v = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 7)[None, :]
+    scale = np.where(np.arange(7 if axis else 5) == (4 if axis else 2), 0.0, 1.0)
+    scale = scale[None, :] if axis else scale[:, None]
+    p = SurfacePoint(position=(np.cos(u) * np.cos(v), np.sin(u) * np.cos(v), np.sin(v), 0.0),
+                     du=(0.0, 0.0, 0.0, 1.0), dv=(0.0, 0.0, scale, 0.0),
+                     duu=(0.0,) * 4, duv=(0.0,) * 4, dvv=(0.0,) * 4)
+    assert np.shape(first_fundamental_form(p)[2]) == np.shape(scale)
+    for fn in (tangent_normal_frame, curvature_at):
+        with pytest.raises(DegenerateMetric, match=rf"batch index \({index[0]}, {index[1]}\):"):
+            fn(p, row0=3)
 
 
 @pytest.mark.parametrize("r", [math.pi / 4, math.pi / 3])
@@ -173,8 +202,8 @@ def test_orientation_flip_property():
         assert np.allclose(cd_rev.gauss_K, cd.gauss_K, atol=1e-10)
         assert np.allclose(cd_rev.k1 ** 2 + cd_rev.k2 ** 2,
                            cd.k1 ** 2 + cd.k2 ** 2, atol=1e-10)
-        assert np.allclose(tangent_normal_frame(swapped)[0], -tangent_normal_frame(p)[0],
-                           atol=1e-12)
+        assert np.allclose(rows(tangent_normal_frame(swapped)[0]),
+                           -rows(tangent_normal_frame(p)[0]), atol=1e-12)
         assert np.allclose(cd_rev.area_element, cd.area_element, atol=1e-12)
 
 
@@ -204,9 +233,9 @@ def test_principal_curvatures_satisfy_characteristic_equation():
         u, v = random_params(surface, 100)
         p = surface.point(u, v)
         nu, (E, F, G) = tangent_normal_frame(p)
-        e = np.sum(p.duu * nu, axis=-1)
-        f = np.sum(p.duv * nu, axis=-1)
-        g = np.sum(p.dvv * nu, axis=-1)
+        e = np.sum(rows(p.duu) * rows(nu), axis=-1)
+        f = np.sum(rows(p.duv) * rows(nu), axis=-1)
+        g = np.sum(rows(p.dvv) * rows(nu), axis=-1)
         cd = curvature_at(p)
         assert np.allclose(cd.area_element, np.sqrt(E * G - F * F), rtol=1e-15)
         for k in (cd.k1, cd.k2):

@@ -85,7 +85,8 @@ def _reference_export(surface, nu, nv, path):
 
     xu = nodes(surface.domain_u, nu, surface.periodic_u)
     xv = nodes(surface.domain_v, nv, surface.periodic_v)
-    pos = surface.point(*np.meshgrid(xu, xv, indexing="ij")).position
+    pos = np.stack(np.broadcast_arrays(
+        *surface.point(*np.meshgrid(xu, xv, indexing="ij")).position), axis=-1)
 
     def fmt(x):
         return repr(float(x))
@@ -113,8 +114,7 @@ class _SignedZeros(Surface):
 
     def point(self, u, v):
         zero = np.where(np.arange(v.shape[-1]) % 2, -0.0, 0.0) * np.ones_like(u)
-        pos = np.stack([np.cos(v), np.sin(v), zero, -zero], axis=-1)
-        return SurfacePoint(pos, *[np.zeros_like(pos)] * 5)
+        return SurfacePoint((np.cos(v), np.sin(v), zero, -zero), *[(0.0,) * 4] * 5)
 
 
 # Rows per export tile are 2**11 // nv: 24x40 and 70x100 are one and 3.5 tiles, 16x2100
@@ -131,7 +131,8 @@ def test_export_bytes_match_reference_and_import_is_exact(tmp_path, surface, nu,
     xu, xv = _reference_export(surface, nu, nv, tmp_path / "reference.csv")
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
     gs = import_surface(path)
-    exact = surface.point(*np.meshgrid(xu, xv, indexing="ij")).position
+    exact = np.array(np.broadcast_arrays(
+        *surface.point(*np.meshgrid(xu, xv, indexing="ij")).position))
     assert np.array_equal(gs.nodes_u, xu) and np.array_equal(gs.nodes_v, xv)
     assert np.array_equal(gs.positions, exact)
     assert np.array_equal(np.signbit(gs.positions), np.signbit(exact))
@@ -294,9 +295,24 @@ def test_non_numeric_row_rejected(tmp_path):
 
 def test_too_coarse_periodic_grid_rejected(tmp_path):
     path = tmp_path / "coarse.csv"
-    export_grid(clifford_torus(), 8, 32, path)
+    with pytest.raises(ResolutionTooCoarse):
+        export_grid(clifford_torus(), 8, 32, path)
+    assert not path.exists()
+    _reference_export(clifford_torus(), 8, 32, path)
     with pytest.raises(ResolutionTooCoarse):
         import_surface(path)
+
+
+@pytest.mark.parametrize("surface, nu, nv", [(clifford_torus(), 0, 0), (clifford_torus(), 4, 4),
+                                             (clifford_torus(), 16, 15),
+                                             (GeodesicSphere(1.0), 16, 6)])
+def test_export_refuses_what_import_rejects(tmp_path, surface, nu, nv):
+    # The import floor (16 per periodic, 7 per non-periodic direction) is checked
+    # before the file is opened.
+    path = tmp_path / "coarse.csv"
+    with pytest.raises(ResolutionTooCoarse, match=f"got {nu}x{nv}"):
+        export_grid(surface, nu, nv, path)
+    assert not path.exists()
 
 
 def test_single_row_grid_rejected(tmp_path):
@@ -309,11 +325,11 @@ def test_single_row_grid_rejected(tmp_path):
 
 def test_too_coarse_non_periodic_grid_rejected(tmp_path):
     path = tmp_path / "coarse.csv"
-    export_grid(GeodesicSphere(1.0), 32, 6, path)
+    _reference_export(GeodesicSphere(1.0), 32, 6, path)
     with pytest.raises(ResolutionTooCoarse, match="7 per non-periodic"):
         import_surface(path)
     export_grid(GeodesicSphere(1.0), 32, 7, path)
-    assert import_surface(path).positions.shape == (32, 7, 4)
+    assert import_surface(path).positions.shape == (4, 32, 7)
 
 
 def test_nonuniform_spacing_rejected(tmp_path):

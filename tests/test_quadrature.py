@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -181,7 +182,7 @@ class _CountingSphere(GeodesicSphere):
         self.point_shapes = []
 
     def point(self, u, v):
-        self.point_shapes.append(np.shape(u))
+        self.point_shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return super().point(u, v)
 
 
@@ -260,8 +261,7 @@ class _PinchedTorus(FlatTorus):
         p = super().point(u, v)
         grid = make_grid(self, 32, 32)
         bad = (u == grid.nodes_u[self.row]) & (v == grid.nodes_v[self.col])
-        p.du[bad] = 0.0
-        return p
+        return dataclasses.replace(p, du=tuple(np.where(bad, 0.0, x) for x in p.du))
 
 
 def test_degenerate_metric_names_the_grid_node_in_the_last_tile(monkeypatch):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from s3pinch import cli
+from s3pinch import FlatTorus, GeodesicSphere, PerturbedSphere, cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +50,13 @@ def test_traced_check_prints_the_same_bytes(tracing):
     names = {span[0] for span in tracer.spans}
     assert {"quadrature.node_data", "quadrature.genus_report",
             "tube.verify_sum_inequality"} <= names
+
+
+@pytest.mark.parametrize("surface", [FlatTorus(0.6), GeodesicSphere(1.0),
+                                     PerturbedSphere(1.2, 0.1, 3, 2)],
+                         ids=["torus", "sphere", "psphere"])
+def test_traced_kernels_run_on_the_library_layout(tracing, surface):
+    # kernels() calls point on full meshgrids, cross4(p.position, p.du, p.dv)
+    # and GridSurface(..., point(...).position, ...): a change of the 4-vector
+    # layout must keep all three working.
+    assert all(value > 0 for value in tracing.kernels(surface, 16, 1000, 1).values())

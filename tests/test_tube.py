@@ -202,6 +202,14 @@ def test_monte_carlo_rejects_bad_side():
         monte_carlo_volume(s, 0, n_samples=10)
 
 
+@pytest.mark.parametrize("kwargs", [{"n_samples": 0}, {"n_samples": -5},
+                                    {"samples": np.empty((0, 4))}],
+                         ids=["zero", "negative", "empty-samples"])
+def test_monte_carlo_rejects_fewer_than_one_sample(kwargs):
+    with pytest.raises(DomainError, match="at least one Monte-Carlo sample"):
+        monte_carlo_volume(GeodesicSphere(1.0), 1, **kwargs)
+
+
 def _whole_draw_volumes(surface, pts):
     # One classification of the whole sample array, side 2 as the negation.
     n = len(pts)
