@@ -10,17 +10,17 @@ from .geometry import (
 )
 from .pinch import (
     RootResult, acot, at_most, beta_pinch, beta_solve, beta_target, cubic_gap,
-    eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series, hk_time_integral,
-    lemma3_F, lemma3_d2Fdtds, lemma3_dFds, lemma3_gap, min_surface_maxA_bound,
-    prop1_integrand,
+    eigenvalue_bound_rhs, eigenvalue_bounds, f_derivative, f_inverse, f_pinch, f_series,
+    hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds, lemma3_gap,
+    min_surface_maxA_bound, prop1_integrand,
 )
 from .catalog import (
     FlatTorus, GeodesicSphere, PerturbedSphere, Surface, clifford_torus,
     parse_surface, sample_s3,
 )
 from .quadrature import (
-    GenusReport, QuadratureGrid, convergence_probe, gap_integral, genus_report,
-    make_grid,
+    EigenReport, GapReport, GenusReport, QuadratureGrid, convergence_probe, eigen_report,
+    gap_report, genus_report, make_grid, sweep_tori,
 )
 from .tube import (
     ChainReport, TubeReport, monte_carlo_volume, side_upper_bound,

@@ -40,6 +40,8 @@ class Surface:
     # grid re-reads the same samples and cannot measure discretisation error,
     # and it has no side classifier: verify_sum_inequality then skips MC.
     sampled: bool = False
+    # Least acceptance tolerance its certificates can honour (see GridSurface).
+    tol_floor: float = 0.0
 
     # Closed-form data, None when unavailable.
     exact_area: float | None = None

@@ -74,6 +74,9 @@ class GridSurface(Surface):
     partials as (4, Nu, Nv) arrays; ``positions`` may be 4 components broadcasting to (Nu, Nv)."""
 
     sampled = True
+    # FD partials carry truncation error: at a tolerance of 1e-8 it alone fails a
+    # flat torus's Heintze-Karcher equality, so certificates use at least this one.
+    tol_floor = 1e-4
 
     def __init__(self, nodes_u, nodes_v, positions, domain_u, domain_v,
                  periodic_u, periodic_v, name="imported"):

@@ -23,6 +23,9 @@ BISECT_WIDTH = 1e-8
 NEWTON_STEPS = 20
 ROOT_RTOL = 1e-12
 BRACKET_MAX = 1e6
+# A root solves its equation when |residual| <= SOLVE_TOL*(1 + |target|).  This is
+# fixed, not the certificate tolerance: --tol defaults to 1e-8, 1000x looser.
+SOLVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,10 @@ class RootResult:
     residual: float
     bracket: tuple[float, float]
     iterations: int
+
+    def solves(self, target: float) -> bool:
+        """|residual| <= SOLVE_TOL*(1 + |target|), through `at_most`."""
+        return at_most(abs(self.residual), 0.0, SOLVE_TOL * (1.0 + abs(target)))
 
 
 def at_most(lhs: float, rhs: float, tol: float) -> bool:
@@ -336,3 +343,13 @@ def eigenvalue_bound_rhs(area: float, integral_f: float, ambient_volume: float =
     if not (0.0 < ambient_volume <= S3_VOLUME):
         raise DomainError("ambient volume must lie in (0, 2*pi^2]")
     return 16.0 * math.pi - 4.0 * ambient_volume / math.pi + (2.0 / math.pi) * integral_f
+
+
+def eigenvalue_bounds(genus: int, area: float, integral_f: float) -> dict[str, float]:
+    """Upper bounds on lambda_1 * Area in the unit 3-sphere: the pinching bound
+    (eigenvalue_bound_rhs), Yang-Yau's 8*pi*(g+1) and the improved 8*pi*floor((g+3)/2)."""
+    return {
+        "pinching": eigenvalue_bound_rhs(area, integral_f),
+        "yang_yau": 8.0 * math.pi * (genus + 1),
+        "improved": 8.0 * math.pi * ((genus + 3) // 2),
+    }

@@ -1,4 +1,4 @@
-"""Surface integrals, Gauss-Bonnet genus detection, convergence probes.
+"""Surface integrals, Gauss-Bonnet genus detection, and the reports built on them.
 
 Periodic parameter directions use the equispaced trapezoidal rule (spectrally
 accurate for smooth periodic integrands); non-periodic directions use
@@ -13,16 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenusDetectionFailure, NotMinimal
+from .errors import DomainError, GenusDetectionFailure, NoSpectralData, NotMinimal
 from .geometry import curvature_at
-from .pinch import FOUR_PI_SQ, SQRT2, acot, f_pinch, hk_time_integral, prop1_integrand
-from .catalog import Surface
+from .pinch import (
+    FOUR_PI_SQ, SQRT2, acot, at_most, eigenvalue_bounds, f_pinch, hk_time_integral,
+    prop1_integrand,
+)
+from .catalog import FlatTorus, Surface
 
 GAP_THRESHOLD = 3.0 * SQRT2 * math.pi ** 2
 EULER_ROUNDING_TOL = 0.01
 MINIMAL_H_TOL = 1e-6
 DEFAULT_RESOLUTION = 64
 GL_PANEL_SIZE = 8
+MAX_SWEEP_STEPS = 10 ** 4
 # Nodes evaluated per step of a grid reduction, so memory does not grow with
 # the resolution and the temporaries stay small enough to be reused.
 NODE_TILE = 2 ** 13
@@ -141,12 +145,8 @@ class GenusReport:
     gap_below: bool | None = None
 
 
-def gap_integral(surface: Surface, grid: QuadratureGrid) -> float:
-    """Integral of |A|^3 for the L^3 gap theorem; NotMinimal if max |H| > MINIMAL_H_TOL."""
-    sums = node_sums(surface, grid)
-    if sums.max_H > MINIMAL_H_TOL:
-        raise NotMinimal(f"max |H| = {sums.max_H:.3e} > {MINIMAL_H_TOL:g}")
-    return sums.integral_absA3
+def _below_gap(integral_absA3: float) -> bool:  # the gap theorem's side of a minimal surface
+    return integral_absA3 < GAP_THRESHOLD
 
 
 def genus_report(surface: Surface, grid: QuadratureGrid,
@@ -179,8 +179,82 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
         bound_lhs=bound_lhs, bound_rhs=sums.integral_f, slack=sums.integral_f - bound_lhs,
         cubic_lhs=2.0 * math.pi ** 2 * genus, cubic_rhs=SQRT2 / 3.0 * sums.integral_A3,
         convergence=convergence, resolution=(nu, nv),
-        gap_integral=gap, gap_below=None if gap is None else gap < GAP_THRESHOLD,
+        gap_integral=gap, gap_below=None if gap is None else _below_gap(gap),
     )
+
+
+@dataclass(frozen=True)
+class GapReport:
+    """L^3 gap-theorem certificate of a minimal surface; either side is a valid outcome."""
+
+    integral_A3: float      # integral of |A|^3
+    threshold: float
+    below_threshold: bool
+    certificate: str
+
+
+def gap_report(surface: Surface, grid: QuadratureGrid) -> GapReport:
+    """The integral of |A|^3 against GAP_THRESHOLD; NotMinimal if max |H| > MINIMAL_H_TOL."""
+    sums = node_sums(surface, grid)
+    if sums.max_H > MINIMAL_H_TOL:
+        raise NotMinimal(f"max |H| = {sums.max_H:.3e} > {MINIMAL_H_TOL:g}")
+    below = _below_gap(sums.integral_absA3)
+    return GapReport(sums.integral_absA3, GAP_THRESHOLD, below,
+                     "below threshold (equator range)" if below else "above threshold")
+
+
+@dataclass(frozen=True)
+class EigenReport:
+    """lambda_1 * Area against each of `eigenvalue_bounds`, under `at_most`'s rule."""
+
+    lambda1: float
+    lambda1_area: float
+    bounds: dict[str, float]
+    holds: dict[str, bool]
+    equality_discrepancy: str | None    # set for the Clifford torus only
+
+    @property
+    def passed(self) -> bool:
+        return all(self.holds.values())
+
+
+def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenReport:
+    """The eigenvalue certificate of a surface with a closed-form lambda_1, else NoSpectralData."""
+    if surface.exact_lambda1 is None:
+        raise NoSpectralData(f"no closed-form lambda_1 for '{surface.name}'")
+    rep = genus_report(surface, grid)
+    lam_area = surface.exact_lambda1 * surface.exact_area
+    bounds = eigenvalue_bounds(rep.genus, rep.area, rep.integral_f)
+    note = None
+    if isinstance(surface, FlatTorus) and surface.is_minimal:
+        note = (
+            "stated equality case not observed: lambda1*Area = 4*pi^2 "
+            f"({lam_area:.6f}) differs from the bound 16*pi ({bounds['pinching']:.6f}); "
+            "both values reported, equality not asserted"
+        )
+    holds = {name: at_most(lam_area, bound, tol) for name, bound in bounds.items()}
+    return EigenReport(surface.exact_lambda1, lam_area, bounds, holds, note)
+
+
+def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int) -> list[dict]:
+    """Theorem-2 slack across the flat-torus family, one row per a."""
+    if not (0.0 < a_min < a_max < 1.0):
+        raise DomainError("need 0 < a_min < a_max < 1")
+    if not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise DomainError(f"steps must be in [2, {MAX_SWEEP_STEPS}], got {steps}")
+    rows = []
+    for a in np.linspace(a_min, a_max, steps):
+        surface = FlatTorus(float(a))
+        k1, k2 = surface.exact_principal_curvatures
+        rep = genus_report(surface, make_grid(surface, resolution, resolution))
+        rows.append({
+            "a": float(a),
+            "area": rep.area,
+            "traceless_norm": (k2 - k1) / SQRT2,
+            "integral_f": rep.integral_f,
+            "slack": rep.slack,
+        })
+    return rows
 
 
 def convergence_probe(surface: Surface, base_grid: QuadratureGrid,

@@ -53,12 +53,15 @@ class TubeReport:
 @dataclass(frozen=True)
 class ChainReport:
     """Everything a `check` certificate decides on: the genus report, both
-    tube reports, and whether each link of the chain holds (it passes when
-    every value of `checks` is true)."""
+    tube reports, and whether each link of the chain holds."""
 
     genus_report: GenusReport
     tube_reports: tuple[TubeReport, TubeReport]
     checks: dict[str, bool]
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float:
@@ -122,7 +125,8 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
                           mc_samples: int | None = None, seed: int = 0,
                           tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every link of the genus-bound inequality chain, each under
-    `at_most`'s rule, from one pass of `node_sums` over the grid.
+    `at_most`'s rule at ``tol`` or the surface's larger `tol_floor`, from one
+    pass of `node_sums` over the grid.
 
     checks: theorem2 (4 pi^2 g <= integral of f(|Aring|)), cubic (2 pi^2 g <=
     (sqrt(2)/3) integral of |Aring|^3), sum_bound (2|M| <= 2*(bound_1 +
@@ -130,6 +134,7 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
     and, with exact side volumes, hk_side1/2 (volume <= bound).  A failed link
     is reported, never raised.
     """
+    tol = max(tol, surface.tol_floor)
     sums = node_sums(surface, grid)
     report = genus_report(surface, grid, nodes=sums)
     sum_rhs = 2.0 * sum(sums.hk_upper)

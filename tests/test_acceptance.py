@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
-from s3pinch.cli import main, sweep_tori
+from s3pinch.cli import main
 from s3pinch.gridio import export_grid, import_surface
 from s3pinch.pinch import (
     beta_solve,
@@ -25,7 +25,7 @@ from s3pinch.pinch import (
     lemma3_F,
     lemma3_gap,
 )
-from s3pinch.quadrature import GAP_THRESHOLD, genus_report, make_grid
+from s3pinch.quadrature import GAP_THRESHOLD, genus_report, make_grid, sweep_tori
 from s3pinch.tube import monte_carlo_volume, side_upper_bound
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s3pinch import catalog, quadrature
-from s3pinch.cli import (
-    MAX_RESOLUTION, MAX_SAMPLES, MAX_SWEEP_STEPS, build_parser, main, sweep_tori,
-)
+from s3pinch import catalog, pinch, quadrature
+from s3pinch.cli import MAX_RESOLUTION, MAX_SAMPLES, build_parser, main
+from s3pinch.quadrature import MAX_SWEEP_STEPS, sweep_tori
 from s3pinch.gridio import export_grid
 from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
-from s3pinch.pinch import beta_target, min_surface_maxA_bound
+from s3pinch.pinch import SOLVE_TOL, RootResult, beta_target, min_surface_maxA_bound
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -133,6 +132,15 @@ def test_solve_bad_args_exit_2(capsys):
         assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_solve_residual_above_solve_tol_exits_4_and_prints(capsys, monkeypatch):
+    # Above SOLVE_TOL*(1 + |target|) but far inside --tol's default 1e-8.
+    bad = RootResult(0.5, 2.0 * SOLVE_TOL * (1.0 + 1.0), (0.0, 1.0), 3)
+    monkeypatch.setattr(pinch, "f_inverse", lambda y: bad)
+    code, doc = run_json(capsys, "solve", "finv", "1.0")
+    assert code == 4
+    assert doc["target"] == 1.0 and doc["result"]["residual"] == bad.residual
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--tol", "nan", "check", "sphere:r=1.0"], "--tol"),
     (["--tol", "inf", "check", "sphere:r=1.0"], "--tol"),
@@ -206,6 +214,16 @@ def test_eigen_clifford_flags_discrepancy(capsys):
     assert doc["lambda1_area"] == pytest.approx(4.0 * math.pi ** 2, rel=1e-9)
     note = doc["equality_discrepancy"]
     assert note is not None and "not asserted" in note
+
+
+def test_eigen_planted_lambda1_above_bound_exits_3(capsys, monkeypatch):
+    # sphere:r=1 is the equality case lambda_1 * Area = 8 pi.
+    sphere = GeodesicSphere(1.0)
+    sphere.exact_lambda1 *= 1.0 + 1e-6
+    monkeypatch.setattr(catalog, "parse_surface", lambda spec: sphere)
+    code, doc = run_json(capsys, "--resolution", "32", "eigen", "sphere:r=1.0")
+    assert code == 3
+    assert doc["holds"]["pinching"] is False
 
 
 def test_eigen_no_spectral_data_exits_2(capsys):

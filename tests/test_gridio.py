@@ -20,6 +20,7 @@ from s3pinch.geometry import SurfacePoint
 from s3pinch.gridio import GridSurface, _derivative, _fd_weights, export_grid, import_surface
 from s3pinch.pinch import f_pinch
 from s3pinch.quadrature import genus_report, make_grid
+from s3pinch.tube import CHAIN_TOL, verify_sum_inequality
 
 
 def _round_trip(tmp_path, surface, nu, nv, name="grid.csv"):
@@ -218,6 +219,19 @@ def test_periodic_import_reports_no_convergence(tmp_path, capsys):
     assert genus_report(s, make_grid(s, 64, 64)).convergence < 1e-12
     assert main(["--samples", "1000", "import", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["genus_report"]["convergence"] is None
+
+
+@pytest.mark.parametrize("surface", [FlatTorus(0.55), clifford_torus()], ids=["a=0.55", "clifford"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_library_and_cli_agree_on_imported_grid(tmp_path, capsys, surface, n):
+    # sum_bound is a Heintze-Karcher equality on flat tori, so finite-difference
+    # error alone fails it at CHAIN_TOL; the GridSurface floor applies to both paths.
+    path, gs = _round_trip(tmp_path, surface, n, n)
+    cert = verify_sum_inequality(gs, gs.natural_grid())
+    assert cert.checks["sum_bound"] and cert.passed
+    assert GridSurface.tol_floor > CHAIN_TOL
+    assert main(["--samples", "0", "import", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == cert.checks
 
 
 @pytest.mark.parametrize("row, col, text", [(0, 2, "nan"), (37, 5, "inf"), (1023, 0, "-inf"),

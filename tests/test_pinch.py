@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from s3pinch import (
-    BracketFailure, DomainError, acot, at_most, beta_pinch, beta_solve, beta_target,
-    cubic_gap, eigenvalue_bound_rhs, f_derivative, f_inverse, f_pinch, f_series,
-    hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds,
+    BracketFailure, DomainError, RootResult, acot, at_most, beta_pinch, beta_solve,
+    beta_target, cubic_gap, eigenvalue_bound_rhs, eigenvalue_bounds, f_derivative,
+    f_inverse, f_pinch, f_series, hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds,
     lemma3_gap, min_surface_maxA_bound, prop1_integrand,
 )
+from s3pinch.pinch import SOLVE_TOL
 
 SQRT2 = math.sqrt(2.0)
 RNG = np.random.default_rng(7)
@@ -305,3 +306,23 @@ class TestEigenvalueBound:
     def test_degenerate_ambient_rejected(self):
         with pytest.raises(DomainError):
             eigenvalue_bound_rhs(1.0, 0.0, 0.0)
+
+    def test_bounds_by_genus(self):
+        # Genus 0: all three bounds are 8*pi, the geodesic spheres' lambda_1 * Area.
+        assert eigenvalue_bounds(0, 1.0, 0.0) == pytest.approx(
+            {"pinching": 8 * math.pi, "yang_yau": 8 * math.pi, "improved": 8 * math.pi})
+        bounds = eigenvalue_bounds(2, 10.0, 5.0)
+        assert list(bounds) == ["pinching", "yang_yau", "improved"]
+        assert bounds["pinching"] == eigenvalue_bound_rhs(10.0, 5.0)
+        assert bounds["yang_yau"] == pytest.approx(24 * math.pi)
+        assert bounds["improved"] == pytest.approx(16 * math.pi)
+
+
+class TestRootResultSolves:
+    def test_edge_of_solve_tol(self):
+        target = 3.0
+        edge = SOLVE_TOL * (1.0 + target)
+        for residual in (0.0, edge, -edge):
+            assert RootResult(1.0, residual, (0.0, 2.0), 5).solves(target)
+        for residual in (np.nextafter(edge, 1.0), -np.nextafter(edge, 1.0), 1e-9):
+            assert not RootResult(1.0, residual, (0.0, 2.0), 5).solves(target)

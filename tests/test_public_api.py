@@ -20,21 +20,25 @@ ALLOWED_UNREFERENCED = {
 }
 
 
+def _names(path: pathlib.Path) -> set[str]:
+    """Every name, attribute, imported name and string constant in a source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # perfbench/tracing.py names its targets as strings
+    return names
+
+
 def _referenced_names() -> set[str]:
     files = [p for p in (ROOT / "src" / "s3pinch").glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    names = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)  # perfbench/tracing.py names its targets as strings
-    return names
+    return set().union(*map(_names, files))
 
 
 def test_every_public_name_has_a_caller():
@@ -42,3 +46,13 @@ def test_every_public_name_has_a_caller():
               if not isinstance(getattr(s3pinch, name), types.ModuleType)}
     # Equality also fails on an allowlist entry whose name is gone or has a caller.
     assert public - _referenced_names() == set(ALLOWED_UNREFERENCED)
+
+
+# Names whose use in the CLI would mean it derives a bound or applies an
+# acceptance rule itself instead of reading a library report's verdict.
+VERDICT_NAMES = {"at_most", "pi", "GAP_THRESHOLD", "exact_lambda1", "eigenvalue_bound_rhs",
+                 "FD_FLOOR_TOL"}
+
+
+def test_cli_holds_no_verdict():
+    assert _names(ROOT / "src" / "s3pinch" / "cli.py") & VERDICT_NAMES == set()

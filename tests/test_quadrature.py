@@ -7,7 +7,7 @@ import pytest
 from s3pinch import (
     DegenerateMetric, FlatTorus, GenusDetectionFailure, GeodesicSphere,
     NotMinimal, PerturbedSphere, acot, clifford_torus, convergence_probe, f_pinch,
-    f_series, gap_integral, genus_report, hk_time_integral, make_grid,
+    f_series, eigen_report, gap_report, genus_report, hk_time_integral, make_grid,
     prop1_integrand, quadrature,
 )
 from s3pinch.quadrature import _node_data
@@ -208,12 +208,24 @@ def test_coarse_probe_failure_propagates():
         genus_report(surface, make_grid(surface, 32, 32))
 
 
-def test_gap_integral_matches_report_and_rejects_non_minimal():
+def test_gap_report_matches_report_and_rejects_non_minimal():
     surface = clifford_torus()
     grid = make_grid(surface, 32, 32)
-    assert gap_integral(surface, grid) == genus_report(surface, grid).gap_integral
+    assert gap_report(surface, grid).integral_A3 == genus_report(surface, grid).gap_integral
     with pytest.raises(NotMinimal):
-        gap_integral(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32))
+        gap_report(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32))
+
+
+def test_eigen_report_rejects_a_planted_lambda1_above_the_bound():
+    # A geodesic sphere is the equality case lambda_1 * Area = 8 pi of every bound.
+    sphere = GeodesicSphere(1.0)
+    grid = make_grid(sphere, 32, 32)
+    rep = eigen_report(sphere, grid, 1e-8)
+    assert rep.lambda1_area == pytest.approx(8 * PI, rel=1e-14)
+    assert rep.passed and rep.equality_discrepancy is None
+    sphere.exact_lambda1 *= 1.0 + 1e-6
+    planted = eigen_report(sphere, grid, 1e-8)
+    assert not planted.holds["pinching"] and not planted.passed
 
 
 def test_report_embeds_resolution_and_convergence():
