@@ -109,6 +109,9 @@ class GridSurface(Surface):
     def point(self, u, v) -> SurfacePoint:
         i = self._indices(u, self.nodes_u)
         j = self._indices(v, self.nodes_v)
+        if i.shape[1:] == (1,) and np.array_equal(j, [np.arange(len(self.nodes_v))]) \
+           and np.all(np.diff(i[:, 0]) == 1):  # whole u-rows, as a tile asks: slices
+            return SurfacePoint(*(x[:, i[0, 0]:i[-1, 0] + 1] for x in self._fields))
         return SurfacePoint(*(x[:, i, j] for x in self._fields))
 
     def natural_grid(self) -> QuadratureGrid:

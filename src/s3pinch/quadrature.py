@@ -139,7 +139,7 @@ class GenusReport:
     convergence: float      # relative change of integral_f under grid halving (nan if
                             # below 16 nodes or the surface is only sampled)
     resolution: tuple[int, int]
-    # Gap-theorem certificate, populated for minimal surfaces only.
+    # Gap-theorem certificate, populated when max |H| <= MINIMAL_H_TOL only.
     gap_integral: float | None = None   # integral of |A|^3
     gap_threshold: float = GAP_THRESHOLD
     gap_below: bool | None = None
@@ -149,13 +149,11 @@ def _below_gap(integral_absA3: float) -> bool:  # the gap theorem's side of a mi
     return integral_absA3 < GAP_THRESHOLD
 
 
-def genus_report(surface: Surface, grid: QuadratureGrid,
-                 nodes: NodeSums | None = None) -> GenusReport:
-    """Detect the genus via Gauss-Bonnet and evaluate every genus bound.
+def _is_minimal(sums: NodeSums) -> bool:  # the gap theorem's premise, read off the nodes
+    return sums.max_H <= MINIMAL_H_TOL
 
-    ``nodes`` is the grid's ``node_sums`` when the caller already has it.
-    """
-    sums = node_sums(surface, grid) if nodes is None else nodes
+
+def _genus(sums: NodeSums) -> int:  # Gauss-Bonnet; GenusDetectionFailure unless chi is admissible
     chi_raw = sums.total_K / (2.0 * math.pi)
     euler = int(round(chi_raw))
     if abs(chi_raw - euler) >= EULER_ROUNDING_TOL or euler % 2 != 0 or euler > 2:
@@ -163,7 +161,17 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
             f"integrated curvature gives chi = {chi_raw:.6f}, "
             f"not an admissible Euler characteristic within {EULER_ROUNDING_TOL}"
         )
-    genus = (2 - euler) // 2
+    return (2 - euler) // 2
+
+
+def genus_report(surface: Surface, grid: QuadratureGrid,
+                 nodes: NodeSums | None = None) -> GenusReport:
+    """Detect the genus via Gauss-Bonnet and evaluate every genus bound.
+
+    ``nodes`` is the grid's ``node_sums`` when the caller already has it.
+    """
+    sums = node_sums(surface, grid) if nodes is None else nodes
+    genus = _genus(sums)
 
     convergence = math.nan
     nu, nv = grid.resolution
@@ -172,9 +180,9 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
         convergence = abs(sums.integral_f - coarse_f) / (1.0 + abs(sums.integral_f))
 
     bound_lhs = FOUR_PI_SQ * genus
-    gap = sums.integral_absA3 if surface.is_minimal else None
+    gap = sums.integral_absA3 if _is_minimal(sums) else None
     return GenusReport(
-        area=sums.area, total_K=sums.total_K, euler_char=euler, genus=genus,
+        area=sums.area, total_K=sums.total_K, euler_char=2 - 2 * genus, genus=genus,
         integral_f=sums.integral_f, integral_A3=sums.integral_A3,
         bound_lhs=bound_lhs, bound_rhs=sums.integral_f, slack=sums.integral_f - bound_lhs,
         cubic_lhs=2.0 * math.pi ** 2 * genus, cubic_rhs=SQRT2 / 3.0 * sums.integral_A3,
@@ -196,7 +204,7 @@ class GapReport:
 def gap_report(surface: Surface, grid: QuadratureGrid) -> GapReport:
     """The integral of |A|^3 against GAP_THRESHOLD; NotMinimal if max |H| > MINIMAL_H_TOL."""
     sums = node_sums(surface, grid)
-    if sums.max_H > MINIMAL_H_TOL:
+    if not _is_minimal(sums):
         raise NotMinimal(f"max |H| = {sums.max_H:.3e} > {MINIMAL_H_TOL:g}")
     below = _below_gap(sums.integral_absA3)
     return GapReport(sums.integral_absA3, GAP_THRESHOLD, below,
@@ -222,9 +230,9 @@ def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenRep
     """The eigenvalue certificate of a surface with a closed-form lambda_1, else NoSpectralData."""
     if surface.exact_lambda1 is None:
         raise NoSpectralData(f"no closed-form lambda_1 for '{surface.name}'")
-    rep = genus_report(surface, grid)
+    sums = node_sums(surface, grid)
     lam_area = surface.exact_lambda1 * surface.exact_area
-    bounds = eigenvalue_bounds(rep.genus, rep.area, rep.integral_f)
+    bounds = eigenvalue_bounds(_genus(sums), sums.area, sums.integral_f)
     note = None
     if isinstance(surface, FlatTorus) and surface.is_minimal:
         note = (
@@ -246,14 +254,10 @@ def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int) -> list[
     for a in np.linspace(a_min, a_max, steps):
         surface = FlatTorus(float(a))
         k1, k2 = surface.exact_principal_curvatures
-        rep = genus_report(surface, make_grid(surface, resolution, resolution))
-        rows.append({
-            "a": float(a),
-            "area": rep.area,
-            "traceless_norm": (k2 - k1) / SQRT2,
-            "integral_f": rep.integral_f,
-            "slack": rep.slack,
-        })
+        sums = node_sums(surface, make_grid(surface, resolution, resolution))
+        rows.append({"a": float(a), "area": sums.area, "traceless_norm": (k2 - k1) / SQRT2,
+                     "integral_f": sums.integral_f,
+                     "slack": sums.integral_f - FOUR_PI_SQ * _genus(sums)})
     return rows
 
 

@@ -4,6 +4,10 @@ Side 1 of a surface is the region its frame normal points into; side 2 uses
 the reversed normal, whose principal curvatures are (-k2, -k1).  The per-side
 volume upper bound integrates the closed-form time integral of the tube
 Jacobian up to the focal time acot(k2).
+
+Monte-Carlo side volumes are integer counts over tiles, each its own Philox substream, so
+no scheduling changes them: given a second CPU, a check draws them on a worker thread while
+the node field is reduced.  A node-field error is the one raised; it stops the draw at once.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ DEFAULT_SAMPLES = 10 ** 6
 # Samples per tile, each tile its own Philox substream: memory does not grow
 # with n, and a 256 KB tile is reused by malloc, not re-faulted.
 MC_TILE = 2 ** 13
-# Threads that draw and classify tiles: the CPUs this process may run on, each with
-# at least MC_WORKER_SAMPLES samples (with fewer, a thread added jitter, not speed).
+# Threads that draw and classify tiles: the CPUs this process may run on, each with at least
+# MC_WORKER_SAMPLES samples (fewer added jitter), but two in a check, to draw during its node field.
 MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
 MC_WORKER_SAMPLES = 2 ** 18
@@ -71,16 +75,16 @@ def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float
     return node_sums(surface, grid).hk_upper[side - 1]
 
 
-def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
-    """(estimate, stderr) of sides 1 and 2.  Workers take tiles in turn; tile t is drawn
-    from Philox(seed).jumped(t), built here as the seed's key at counter [0, 0, t, 0], and
-    gives an integer count, so the sum depends on neither MC_WORKERS nor the scheduling.
-    An exception stops every worker before its next tile."""
+def _mc_sides(surface: Surface, n_samples: int, seed: int, samples, meanwhile=None):
+    """(meanwhile(), (estimate, stderr) of sides 1 and 2).  Workers take tiles in turn;
+    tile t is drawn from Philox(seed).jumped(t), built as the seed's key at counter
+    [0, 0, t, 0].  The calling thread runs ``meanwhile``, then joins them.  An exception
+    stops every worker before its next tile; one from ``meanwhile`` beats a worker's."""
     n = int(n_samples) if samples is None else len(samples)
     if n < 1:
         raise DomainError(f"need at least one Monte-Carlo sample, got {n}")
     key = np.random.Philox(seed).state["state"]["key"]
-    workers = max(1, min(MC_WORKERS, n // MC_WORKER_SAMPLES))
+    workers = min(MC_WORKERS, max(2 if meanwhile else 1, n // MC_WORKER_SAMPLES))
     counts, first_error, todo, lock = [0] * workers, {}, iter(range(0, n, MC_TILE)), threading.Lock()
 
     def work(w):
@@ -101,24 +105,27 @@ def _mc_sides(surface: Surface, n_samples: int, seed: int, samples):
     threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
     for t in threads:
         t.start()
-    work(0)
+    try:
+        result = meanwhile() if meanwhile else None
+        work(0)
+    except BaseException as exc:  # from meanwhile: replaces any worker's error
+        first_error["exc"] = exc
     for t in threads:
         t.join()
     if first_error:  # pop, so no frame in its traceback still holds the exception
         raise first_error.pop("exc")
     k = sum(counts)
-    return tuple((S3_VOLUME * p, S3_VOLUME * math.sqrt(p * (1.0 - p) / n))
-                 for p in (float(k) / n, float(n - k) / n))
+    return result, tuple((S3_VOLUME * p, S3_VOLUME * math.sqrt(p * (1.0 - p) / n))
+                         for p in (float(k) / n, float(n - k) / n))
 
 
 def monte_carlo_volume(surface: Surface, side: int, n_samples: int = DEFAULT_SAMPLES,
                        seed: int = 0, samples: np.ndarray | None = None):
-    """(estimate, stderr) of a side volume from uniform S^3 samples.  Each tile of
-    MC_TILE samples has its own Philox substream, so a seed gives the same estimate
+    """(estimate, stderr) of a side volume from uniform S^3 samples, the same for a seed
     on every machine and for every MC_WORKERS."""
     if side not in (1, 2):
         raise DomainError(f"side must be 1 or 2, got {side}")
-    return _mc_sides(surface, n_samples, seed, samples)[side - 1]
+    return _mc_sides(surface, n_samples, seed, samples)[1][side - 1]
 
 
 def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
@@ -134,15 +141,16 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
     and, with exact side volumes, hk_side1/2 (volume <= bound).  A failed link
     is reported, never raised.
     """
+    def node_field():
+        sums = node_sums(surface, grid)
+        return sums, genus_report(surface, grid, nodes=sums)
+
+    (sums, report), mc = (_mc_sides(surface, mc_samples, seed, None, node_field)
+                          if mc_samples and not surface.sampled else (node_field(), (None, None)))
     tol = max(tol, surface.tol_floor)
-    sums = node_sums(surface, grid)
-    report = genus_report(surface, grid, nodes=sums)
     sum_rhs = 2.0 * sum(sums.hk_upper)
     prop1_lhs = FOUR_PI_SQ * report.genus
-
     exact = surface.exact_side_volumes
-    mc = (_mc_sides(surface, mc_samples, seed, None) if mc_samples and not surface.sampled
-          else (None, None))
 
     tubes = [TubeReport(
         side=i + 1, hk_upper=sums.hk_upper[i],

@@ -245,13 +245,15 @@ def test_perturbed_sphere_matches_sympy_oracle(l, m):
 
 
 def test_import_does_not_load_sympy():
-    # numpy is the only runtime dependency; a stray import fails here.
+    # numpy is the only runtime dependency; a stray import fails here.  Nor may the
+    # CLI load concurrent.futures: that import alone costs a cold process milliseconds.
     import s3pinch
 
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(s3pinch.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, s3pinch; assert 'sympy' not in sys.modules, 'sympy loaded'"
+    code = ("import sys, s3pinch.cli; assert 'sympy' not in sys.modules, 'sympy loaded'; "
+            "assert 'concurrent' not in sys.modules, 'concurrent loaded'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -78,6 +78,24 @@ def test_point_only_defined_at_nodes(tmp_path):
         gs.point(u0 + 1e-3, v0)
 
 
+@pytest.mark.parametrize("surface, nu, nv", [(clifford_torus(), 32, 32),
+                                             (PerturbedSphere(1.0, 0.05, 3, 2), 24, 40)])
+def test_point_on_natural_grid_rows_gives_the_gather_bits(tmp_path, surface, nu, nv):
+    # _node_data asks for whole u-rows; they must carry the bits of a node-by-node gather.
+    _, gs = _round_trip(tmp_path, surface, nu, nv)
+    grid = gs.natural_grid()
+    for rows in (slice(0, 5), slice(8, nu)):
+        u, v = grid.nodes_u[rows], grid.nodes_v
+        tensor = gs.point(u[:, None], v[None, :])
+        gather = gs.point(*np.meshgrid(u, v, indexing="ij"))
+        for a, b in zip(vars(tensor).values(), vars(gather).values()):
+            np.testing.assert_array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+        with pytest.raises(OffSampleGrid):
+            gs.point(u[:, None] + 1e-3, v[None, :])
+        with pytest.raises(OffSampleGrid):
+            gs.point(u[:, None], v[None, :] + 1e-3)
+
+
 def _reference_export(surface, nu, nv, path):
     """The per-value writer export_grid replaced: one repr(float) per value."""
     def nodes(domain, n, periodic):

@@ -216,6 +216,30 @@ def test_gap_report_matches_report_and_rejects_non_minimal():
         gap_report(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32))
 
 
+def test_genus_and_gap_reports_share_the_minimality_rule():
+    # Off the catalog's minimal flag by 1e-8, but max |H| is far below MINIMAL_H_TOL.
+    surface = FlatTorus(1 / math.sqrt(2) + 1e-8)
+    grid = make_grid(surface, 64, 64)
+    assert not surface.is_minimal
+    rep, gap = genus_report(surface, grid), gap_report(surface, grid)
+    assert rep.gap_integral == gap.integral_A3 == pytest.approx(55.8309, abs=1e-4)
+    assert rep.gap_below is gap.below_threshold is False
+    assert genus_report(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32)).gap_integral is None
+
+
+def test_sweep_and_eigen_read_each_grid_once(monkeypatch):
+    # Neither prints a convergence figure, so neither evaluates the half-resolution grid.
+    calls, node_sums = [], quadrature.node_sums
+    monkeypatch.setattr(quadrature, "node_sums",
+                        lambda s, g: (calls.append(g.resolution), node_sums(s, g))[1])
+    quadrature.sweep_tori(0.3, 0.9, 61, 64)
+    assert calls == [(64, 64)] * 61
+    calls.clear()
+    sphere = GeodesicSphere(1.0)
+    eigen_report(sphere, make_grid(sphere, 32, 32), 1e-8)
+    assert calls == [(32, 32)]
+
+
 def test_eigen_report_rejects_a_planted_lambda1_above_the_bound():
     # A geodesic sphere is the equality case lambda_1 * Area = 8 pi of every bound.
     sphere = GeodesicSphere(1.0)

@@ -14,11 +14,11 @@ from s3pinch import tube
 from s3pinch.catalog import (
     FlatTorus, GeodesicSphere, PerturbedSphere, clifford_torus, sample_s3,
 )
-from s3pinch.errors import DomainError
+from s3pinch.errors import DegenerateMetric, DomainError
 from s3pinch.cli import main
 from s3pinch.gridio import GridSurface, export_grid, import_surface
 from s3pinch.pinch import acot
-from s3pinch.quadrature import make_grid
+from s3pinch.quadrature import genus_report, make_grid
 from s3pinch.tube import (
     FOUR_PI_SQ,
     MC_TILE,
@@ -396,3 +396,92 @@ def test_verify_with_mc_attached():
         est, err = rep.mc_volume
         assert abs(est - rep.exact_volume) < 4.0 * err
         assert rep.hk_upper >= rep.exact_volume - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# verify_sum_inequality draws the tiles while the node field is reduced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.usefixtures("tile_per_worker")
+@pytest.mark.parametrize("surface", [FlatTorus(0.6), GeodesicSphere(1.0)])
+def test_overlapped_check_same_report_for_every_worker_count(monkeypatch, surface):
+    grid, n, seed = make_grid(surface, 32, 32), 3 * MC_TILE + 123, 11
+    expected = _whole_draw_volumes(surface, _tile_draws(n, seed))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches than cores: a lost count would show
+    try:
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tube, "MC_WORKERS", workers)
+            reports.append(verify_sum_inequality(surface, grid, mc_samples=n, seed=seed))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].genus_report == genus_report(surface, grid)
+    assert [t.mc_volume for t in reports[0].tube_reports] == expected
+
+
+class _NodeFieldFails(GeodesicSphere):
+    """`point` raises DegenerateMetric once the workers have had time to classify tiles;
+    `side_classifier` counts its calls and, if asked, fails on the first."""
+
+    def __init__(self, classifier_fails):
+        super().__init__(1.0)
+        self.classifier_fails = classifier_fails
+        self.calls, self.calls_at_raise = [], None
+
+    def point(self, u, v):
+        time.sleep(0.05)
+        self.calls_at_raise = len(self.calls)
+        raise DegenerateMetric("planted node-field failure")
+
+    def side_classifier(self, x):
+        self.calls.append(len(x))
+        if self.classifier_fails:
+            raise ValueError("classifier failed")
+        return np.zeros(len(x), dtype=bool)
+
+
+@pytest.mark.parametrize("classifier_fails", [False, True])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_node_field_error_wins_and_stops_the_draw(monkeypatch, workers, classifier_fails):
+    monkeypatch.setattr(tube, "MC_WORKERS", workers)
+    s = _NodeFieldFails(classifier_fails)
+    with pytest.raises(DegenerateMetric, match="planted"):
+        verify_sum_inequality(s, make_grid(s, 16, 16), mc_samples=10 ** 9)
+    # A worker finishes the tile it holds, then stops: 10**9 samples are 122071 tiles.
+    assert len(s.calls) - s.calls_at_raise <= tube.MC_WORKERS
+    if workers == 1:
+        assert s.calls == []
+
+
+@pytest.mark.parametrize("n, workers, threads", [
+    (10 ** 5, 1, 0), (10 ** 5, 2, 1), (10 ** 5, 3, 1),
+    # From 2**19 samples the draw alone starts these threads, one per 2**18 samples.
+    (2 ** 19, 1, 0), (2 ** 19, 2, 1), (2 ** 19, 4, 1), (2 ** 20, 4, 3)])
+def test_overlapped_check_thread_count(monkeypatch, n, workers, threads):
+    started, start = [], tube.threading.Thread.start
+    monkeypatch.setattr(tube, "MC_WORKERS", workers)
+    monkeypatch.setattr(tube.threading.Thread, "start", lambda self: (started.append(self), start(self)))
+    s = FlatTorus(0.6)
+    verify_sum_inequality(s, make_grid(s, 16, 16), mc_samples=n)
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["passes", "node-field-error"])
+def test_catalog_surface_freed_without_gc_after_overlapped_check(monkeypatch, fails):
+    monkeypatch.setattr(tube, "MC_WORKERS", 2)
+    gc.collect()
+    gc.disable()
+    try:
+        surface = _NodeFieldFails(classifier_fails=True) if fails else FlatTorus(0.6)
+        ref = weakref.ref(surface)
+        try:
+            cert = verify_sum_inequality(surface, make_grid(surface, 16, 16), mc_samples=10 ** 5)
+            assert not fails and cert.tube_reports[0].mc_volume is not None
+        except DegenerateMetric:
+            assert fails
+        del surface
+        assert ref() is None
+    finally:
+        gc.enable()
