@@ -2,7 +2,7 @@
 
 from .errors import (
     BracketFailure, DegenerateMetric, DomainError, FormatError, GenusDetectionFailure,
-    ImmersionFailure, NoSpectralData, NotMinimal, OffSampleGrid, OffSphere,
+    ImmersionFailure, NoSpectralData, NotMinimal, NumericalFailure, OffSampleGrid, OffSphere,
     ResolutionTooCoarse, S3PinchError,
 )
 from .geometry import (
@@ -19,7 +19,7 @@ from .catalog import (
     parse_surface, sample_s3,
 )
 from .quadrature import (
-    EigenReport, GapReport, GenusReport, QuadratureGrid, convergence_probe, eigen_report,
+    EigenReport, GapReport, GenusReport, QuadratureGrid, eigen_report,
     gap_report, genus_report, make_grid, sweep_tori,
 )
 from .tube import (

@@ -25,6 +25,10 @@ TWO_PI = 2.0 * math.pi
 _R_MIN = 1e-3
 _EPS_CAP = 0.3
 _MINIMAL_TOL = 1e-9
+# Largest spherical-harmonic degree: (l + |m|)! <= 170! is still a finite double.
+_L_MAX = 85
+# Nodes per direction of the grid a PerturbedSphere is checked to be an immersion on.
+_IMMERSION_PROBE = 24
 
 
 class Surface:
@@ -35,7 +39,6 @@ class Surface:
     domain_v: tuple[float, float] = (0.0, TWO_PI)
     periodic_u: bool = True
     periodic_v: bool = True
-    is_minimal: bool = False
     # True when the surface is known only at its sample nodes, so a coarser
     # grid re-reads the same samples and cannot measure discretisation error,
     # and it has no side classifier: verify_sum_inequality then skips MC.
@@ -74,7 +77,6 @@ class GeodesicSphere(Surface):
             raise DomainError(f"sphere radius must lie in [{_R_MIN}, pi-{_R_MIN}], got {r}")
         self.r = float(r)
         self.name = f"sphere:r={self.r:.10g}"
-        self.is_minimal = abs(self.r - math.pi / 2) < _MINIMAL_TOL
         sr = math.sin(self.r)
         ball = math.pi * (2.0 * self.r - math.sin(2.0 * self.r))
         self.exact_area = 4.0 * math.pi * sr * sr
@@ -111,11 +113,10 @@ class FlatTorus(Surface):
         self.a = float(a)
         self.b = math.sqrt(1.0 - self.a * self.a)
         self.name = f"torus:a={self.a:.10g}"
-        self.is_minimal = abs(self.a - 1.0 / math.sqrt(2.0)) < _MINIMAL_TOL
         self.exact_area = 4.0 * math.pi ** 2 * self.a * self.b
         self.exact_side_volumes = (S3_VOLUME * self.a ** 2, S3_VOLUME * self.b ** 2)
         self.exact_principal_curvatures = (-self.a / self.b, self.b / self.a)
-        if self.is_minimal:
+        if abs(self.a - 1.0 / SQRT2) < _MINIMAL_TOL:  # the Clifford torus
             self.exact_lambda1 = 2.0
 
     def point(self, u, v) -> SurfacePoint:
@@ -151,7 +152,7 @@ class PerturbedSphere(Surface):
     periodic_v = False
     domain_v = (0.0, math.pi)
 
-    def __init__(self, r: float, eps: float, l: int, m: int, probe: int = 24):
+    def __init__(self, r: float, eps: float, l: int, m: int):
         if not np.isfinite(r) or not (_R_MIN <= r <= math.pi - _R_MIN):
             raise DomainError(f"sphere radius must lie in [{_R_MIN}, pi-{_R_MIN}], got {r}")
         if not np.isfinite(eps) or abs(eps) > _EPS_CAP:
@@ -160,6 +161,8 @@ class PerturbedSphere(Surface):
             raise DomainError("mode numbers l, m must be integers")
         if l < 0 or abs(m) > l:
             raise DomainError(f"invalid spherical-harmonic mode (l={l}, m={m})")
+        if l > _L_MAX:
+            raise DomainError(f"mode degree l must be <= {_L_MAX}, got {l}")
         self.r, self.eps, self.l, self.m = float(r), float(eps), int(l), int(m)
         self.name = f"psphere:r={self.r:.10g},eps={self.eps:.10g},l={self.l},m={self.m}"
 
@@ -172,7 +175,7 @@ class PerturbedSphere(Surface):
         q = np.polynomial.legendre.Legendre.basis(self.l).deriv(a)
         self._legendre = (q, q.deriv(), q.deriv(2))
 
-        self._check_immersion(probe)
+        self._check_immersion()
 
     def _rho(self, phi, theta, partials=False):
         """rho, or with partials=True the tuple of rho and its partials along
@@ -199,12 +202,13 @@ class PerturbedSphere(Surface):
         return (rho, k * f * g_p, k * f_t * g,
                 k * f * g_pp, k * f_t * g_p, k * f_tt * g)
 
-    def _check_immersion(self, n: int) -> None:
+    def _check_immersion(self) -> None:
+        n = _IMMERSION_PROBE
         uu = np.linspace(0.0, TWO_PI, n, endpoint=False)
         vv = np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n)
         U, V = uu[:, None], vv[None, :]
         rho = self._rho(U, V)
-        if np.any(rho <= 0.0) or np.any(rho >= math.pi):
+        if not np.all((rho > 0.0) & (rho < math.pi)):  # NaN included
             raise DomainError("perturbed radius leaves (0, pi); reduce eps")
         E, F, G = first_fundamental_form(self.point(U, V))
         det = E * G - F * F
@@ -268,19 +272,25 @@ def parse_surface(spec: str) -> Surface:
         kv = {}
         if rest:
             for part in rest.split(","):
-                key, _, val = part.partition("=")
+                key, _, val = (x.strip() for x in part.partition("="))
                 if not val:
                     raise ValueError(f"missing value in '{part}'")
-                kv[key.strip()] = val.strip()
+                if not key or key in kv:
+                    raise ValueError(f"empty or repeated key in '{part}'")
+                kv[key] = val
         if kind == "sphere":
-            return GeodesicSphere(float(kv.pop("r")))
-        if kind == "torus":
-            return FlatTorus(float(kv.pop("a")))
-        if kind == "psphere":
-            return PerturbedSphere(
+            surface = GeodesicSphere(float(kv.pop("r")))
+        elif kind == "torus":
+            surface = FlatTorus(float(kv.pop("a")))
+        elif kind == "psphere":
+            surface = PerturbedSphere(
                 float(kv.pop("r")), float(kv.pop("eps")),
                 int(kv.pop("l")), int(kv.pop("m")),
             )
-        raise ValueError(f"unknown surface kind '{kind}'")
+        else:
+            raise ValueError(f"unknown surface kind '{kind}'")
+        if kv:
+            raise ValueError(f"unknown key '{next(iter(kv))}'")
+        return surface
     except (KeyError, ValueError) as exc:
         raise DomainError(f"bad surface spec '{spec}': {exc}") from exc

@@ -13,10 +13,7 @@ import math
 import sys
 
 from . import catalog, gridio, pinch, quadrature, tube
-from .errors import (
-    BracketFailure, DegenerateMetric, DomainError, GenusDetectionFailure, ImmersionFailure,
-    S3PinchError,
-)
+from .errors import DomainError, NumericalFailure, S3PinchError
 
 SCHEMA = 1
 EXIT_OK = 0
@@ -26,8 +23,6 @@ EXIT_NUMERIC = 4
 # Node fields and Monte-Carlo draws stream in tiles: both caps bound run time only.
 MAX_RESOLUTION = 2048
 MAX_SAMPLES = 10 ** 9
-
-_NUMERIC_ERRORS = (DegenerateMetric, GenusDetectionFailure, BracketFailure, ImmersionFailure)
 
 
 def _jsonable(obj):
@@ -186,7 +181,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericalFailure as exc:
         return _fail(f"numerical failure: {exc}", EXIT_NUMERIC)
     except (S3PinchError, ValueError) as exc:
         return _fail(f"error: {exc}", EXIT_USAGE)

@@ -9,15 +9,19 @@ class DomainError(S3PinchError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class DegenerateMetric(S3PinchError):
+class NumericalFailure(S3PinchError):
+    """A computation on valid input failed numerically (the CLI's exit 4)."""
+
+
+class DegenerateMetric(NumericalFailure):
     """First fundamental form is (numerically) singular: E*G - F^2 too small."""
 
 
-class BracketFailure(S3PinchError):
+class BracketFailure(NumericalFailure):
     """Monotone root solve could not bracket the target value."""
 
 
-class GenusDetectionFailure(S3PinchError):
+class GenusDetectionFailure(NumericalFailure):
     """Integrated curvature is too far from an even multiple of 2*pi."""
 
 
@@ -29,7 +33,7 @@ class NoSpectralData(S3PinchError):
     """Surface has no closed-form first Laplace eigenvalue."""
 
 
-class ImmersionFailure(S3PinchError):
+class ImmersionFailure(NumericalFailure):
     """Parametrization fails to be an immersion at some probe node."""
 
 

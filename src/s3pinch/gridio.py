@@ -133,10 +133,9 @@ class GridSurface(Surface):
                 return w
             return np.full(n, length / n)
 
-        wu = wts(self.nodes_u, self.domain_u, self.periodic_u)
-        wv = wts(self.nodes_v, self.domain_v, self.periodic_v)
-        return QuadratureGrid(self.nodes_u, self.nodes_v, np.outer(wu, wv),
-                              self.periodic_u, self.periodic_v)
+        return QuadratureGrid(self.nodes_u, self.nodes_v,
+                              wts(self.nodes_u, self.domain_u, self.periodic_u),
+                              wts(self.nodes_v, self.domain_v, self.periodic_v))
 
 
 def export_grid(surface: Surface, nu: int, nv: int, path) -> None:

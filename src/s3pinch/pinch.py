@@ -1,12 +1,14 @@
 """Scalar functions and one-dimensional solves behind the genus bounds.
 
-Everything here is a closed-form evaluation or a monotone root solve; all
-functions accept floats or numpy arrays (broadcasting elementwise) and reject
-non-finite input.
+Everything here is a closed-form evaluation or a monotone root solve.  The
+`elementwise` functions share one input contract: they take floats or numpy
+arrays (broadcasting), reject non-finite input, then their domain rule, and
+return a float for scalar input, else an array of the broadcast shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,33 +55,30 @@ def _require_finite(*xs) -> None:
             raise DomainError("non-finite input")
 
 
-def _require_nonneg(t) -> None:
-    _require_finite(t)
-    if np.any(np.asarray(t) < 0):
-        raise DomainError("argument must be >= 0")
+# Domain rules of `elementwise`: where the predicate holds, DomainError(message).
+_NONNEG = (lambda t: t < 0, "argument must be >= 0")
+_ORDERED = (lambda k1, k2: k1 > k2, "requires k1 <= k2")
+_T_NONNEG = (lambda t, s: t < 0, "requires t >= 0")
 
 
-def _ordered_pair(k1, k2):
-    """Finite float arrays with k1 <= k2."""
-    _require_finite(k1, k2)
-    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
-    if np.any(k1 > k2):
-        raise DomainError("requires k1 <= k2")
-    return k1, k2
-
-
-def _ts_pair(t, s):
-    """Finite float arrays with t >= 0."""
-    _require_finite(t, s)
-    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("requires t >= 0")
-    return t, s
+def elementwise(rule=None):
+    """Give a numpy expression in float arrays the module's input contract, with
+    ``rule`` (a predicate and its message, as _NONNEG) as its domain."""
+    def decorate(expr):
+        @functools.wraps(expr)
+        def apply(*xs):
+            _require_finite(*xs)
+            xs = [np.asarray(x, dtype=float) for x in xs]
+            if rule is not None and np.any(rule[0](*xs)):
+                raise DomainError(rule[1])
+            out = expr(*xs)
+            return out if out.ndim else float(out)
+        return apply
+    return decorate
 
 
 def _x_minus_atan(x):
     """x - atan(x), stable for small x (direct subtraction cancels to 0)."""
-    x = np.asarray(x, dtype=float)
     small = np.abs(x) < 0.1
     xs = np.where(small, x, 0.0)
     x2 = xs * xs
@@ -88,25 +87,21 @@ def _x_minus_atan(x):
     return np.where(small, series, x - np.arctan(x))
 
 
+@elementwise(_NONNEG)
 def f_pinch(t):
     """Pinching function sqrt(2)*t + (t^2 - 2)*atan(t/sqrt(2)), t >= 0.
 
     Evaluated as 2*(x - atan x) + t^2 * atan(x) with x = t/sqrt(2): both terms
     are nonnegative, so positivity survives roundoff for tiny t.
     """
-    _require_nonneg(t)
-    t = np.asarray(t, dtype=float)
     x = t / SQRT2
-    out = 2.0 * _x_minus_atan(x) + t * t * np.arctan(x)
-    return out if out.ndim else float(out)
+    return 2.0 * _x_minus_atan(x) + t * t * np.arctan(x)
 
 
+@elementwise(_NONNEG)
 def f_derivative(t):
     """Derivative of f_pinch: 2*sqrt(2)*t^2/(2+t^2) + 2*t*atan(t/sqrt(2))."""
-    _require_nonneg(t)
-    t = np.asarray(t, dtype=float)
-    out = 2.0 * SQRT2 * t * t / (2.0 + t * t) + 2.0 * t * np.arctan(t / SQRT2)
-    return out if out.ndim else float(out)
+    return 2.0 * SQRT2 * t * t / (2.0 + t * t) + 2.0 * t * np.arctan(t / SQRT2)
 
 
 def f_series(t: float, terms: int) -> tuple[float, float]:
@@ -116,7 +111,9 @@ def f_series(t: float, terms: int) -> tuple[float, float]:
     Returns the partial sum and the magnitude of the next term, which bounds
     the truncation error for this alternating series.
     """
-    _require_nonneg(t)
+    _require_finite(t)
+    if t < 0:
+        raise DomainError(_NONNEG[1])
     if t >= SQRT2:
         raise DomainError(f"series diverges for t >= sqrt(2), got t={t}")
     if terms < 0:
@@ -130,11 +127,11 @@ def f_series(t: float, terms: int) -> tuple[float, float]:
     return total, bound
 
 
-def solve_increasing(func, target: float, dfunc=None, hi_guess: float = 1.0) -> RootResult:
+def solve_increasing(func, target: float, dfunc, hi_guess: float = 1.0) -> RootResult:
     """Solve func(x) = target for a strictly increasing func on [0, inf).
 
     Brackets by doubling from ``hi_guess``, bisects to width BISECT_WIDTH,
-    then polishes with Newton steps when a derivative is supplied.
+    then polishes with Newton steps on the derivative ``dfunc``.
     """
     _require_finite(target)
     f0 = func(0.0)
@@ -161,17 +158,16 @@ def solve_increasing(func, target: float, dfunc=None, hi_guess: float = 1.0) -> 
             bhi = mid
 
     x = 0.5 * (blo + bhi)
-    if dfunc is not None:
-        for _ in range(NEWTON_STEPS):
-            r = func(x) - target
-            d = dfunc(x)
-            if d == 0.0:
-                break
-            step = r / d
-            x -= step
-            iters += 1
-            if abs(step) <= ROOT_RTOL * (1.0 + abs(x)):
-                break
+    for _ in range(NEWTON_STEPS):
+        r = func(x) - target
+        d = dfunc(x)
+        if d == 0.0:
+            break
+        step = r / d
+        x -= step
+        iters += 1
+        if abs(step) <= ROOT_RTOL * (1.0 + abs(x)):
+            break
     return RootResult(x, func(x) - target, (blo, bhi), iters)
 
 
@@ -183,6 +179,7 @@ def f_inverse(y: float) -> RootResult:
     return solve_increasing(f_pinch, y, dfunc=f_derivative, hi_guess=SQRT2)
 
 
+@elementwise(_ORDERED)
 def lemma3_gap(k1, k2):
     """Slack of the two-variable curvature inequality, RHS - LHS >= 0.
 
@@ -190,39 +187,34 @@ def lemma3_gap(k1, k2):
                 + (1 + k1*k2)*(atan(k2) - atan(k1)),
     zero exactly when k1 = +-k2.
     """
-    k1, k2 = _ordered_pair(k1, k2)
     t = (k2 - k1) / 2.0
-    out = 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + k1 * k2) * (
+    return 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + k1 * k2) * (
         np.arctan(k2) - np.arctan(k1)
     )
-    return out if out.ndim else float(out)
 
 
+@elementwise(_T_NONNEG)
 def lemma3_F(t, s):
     """Two-variable form of the gap: F(t, s) with k1 = s-t, k2 = s+t."""
-    t, s = _ts_pair(t, s)
-    out = 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + s * s - t * t) * (
+    return 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + s * s - t * t) * (
         np.arctan(s + t) - np.arctan(s - t)
     )
-    return out if out.ndim else float(out)
 
 
+@elementwise(_T_NONNEG)
 def lemma3_dFds(t, s):
     """Closed-form partial dF/ds."""
-    t, s = _ts_pair(t, s)
-    out = 2.0 * s * (np.arctan(s + t) - np.arctan(s - t)) + (
+    return 2.0 * s * (np.arctan(s + t) - np.arctan(s - t)) + (
         1.0 + s * s - t * t
     ) * (1.0 / (1.0 + (t + s) ** 2) - 1.0 / (1.0 + (t - s) ** 2))
-    return out if out.ndim else float(out)
 
 
+@elementwise(_T_NONNEG)
 def lemma3_d2Fdtds(t, s):
     """Closed-form mixed partial d^2F/dtds, a manifestly nonnegative rational."""
-    t, s = _ts_pair(t, s)
     num = 32.0 * t * t * s * (1.0 + t * t + s * s)
     den = (1.0 + (t - s) ** 2) ** 2 * (1.0 + (t + s) ** 2) ** 2
-    out = num / den
-    return out if out.ndim else float(out)
+    return num / den
 
 
 def _cubic_gap_series(x):
@@ -240,55 +232,47 @@ def _cubic_gap_series(x):
     return total
 
 
+@elementwise(_NONNEG)
 def cubic_gap(t):
     """Slack of the cubic bound: 2*sqrt(2)*t^3/3 - f_pinch(t) > 0 for t > 0.
 
     For t < 1 the direct difference cancels to noise, so the slack is summed
     from the alternating series of f beyond its leading cubic term.
     """
-    _require_nonneg(t)
-    t = np.asarray(t, dtype=float)
     small = t < 1.0
     x = np.where(small, t, 0.0) / SQRT2
     series = _cubic_gap_series(x)
     direct = 2.0 * SQRT2 * t ** 3 / 3.0 - (
         SQRT2 * t + (t * t - 2.0) * np.arctan(t / SQRT2))
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+    return np.where(small, series, direct)
 
 
+@elementwise()
 def acot(x):
     """Arc-cotangent with range (0, pi): acot(x) = pi/2 - atan(x)."""
-    _require_finite(x)
-    x = np.asarray(x, dtype=float)
-    out = np.pi / 2.0 - np.arctan(x)
-    return out if out.ndim else float(out)
+    return np.pi / 2.0 - np.arctan(x)
 
 
+@elementwise(_ORDERED)
 def hk_time_integral(k1, k2):
     """Tube Jacobian integrated over [0, acot(k2)] in closed form.
 
     Equals (1/2)*(-k1 + (1 + k1*k2)*acot(k2)); the upper limit is the focal
     time along the normal geodesic.
     """
-    k1, k2 = _ordered_pair(k1, k2)
-    out = 0.5 * (-k1 + (1.0 + k1 * k2) * (np.pi / 2.0 - np.arctan(k2)))
-    return out if out.ndim else float(out)
+    return 0.5 * (-k1 + (1.0 + k1 * k2) * (np.pi / 2.0 - np.arctan(k2)))
 
 
+@elementwise(_ORDERED)
 def prop1_integrand(k1, k2):
     """Genus-bound integrand k2 - k1 - (1 + k1*k2)*(atan k2 - atan k1)."""
-    k1, k2 = _ordered_pair(k1, k2)
-    out = k2 - k1 - (1.0 + k1 * k2) * (np.arctan(k2) - np.arctan(k1))
-    return out if out.ndim else float(out)
+    return k2 - k1 - (1.0 + k1 * k2) * (np.arctan(k2) - np.arctan(k1))
 
 
+@elementwise(_NONNEG)
 def beta_pinch(b):
     """Strictly increasing map beta -> beta + (beta^2 - 1)*atan(beta)."""
-    _require_nonneg(b)
-    b = np.asarray(b, dtype=float)
-    out = b + (b * b - 1.0) * np.arctan(b)
-    return out if out.ndim else float(out)
+    return b + (b * b - 1.0) * np.arctan(b)
 
 
 def beta_target(g0: int, area: float) -> float:

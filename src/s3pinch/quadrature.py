@@ -34,13 +34,13 @@ NODE_TILE = 2 ** 13
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor-product quadrature over the parameter rectangle."""
+    """Tensor-product quadrature over the parameter rectangle: the node at
+    (nodes_u[i], nodes_v[j]) has weight weights_u[i] * weights_v[j]."""
 
     nodes_u: np.ndarray
     nodes_v: np.ndarray
-    weights: np.ndarray  # outer-product weights, shape (Nu, Nv)
-    periodic_u: bool
-    periodic_v: bool
+    weights_u: np.ndarray
+    weights_v: np.ndarray
 
     @property
     def resolution(self) -> tuple[int, int]:
@@ -71,7 +71,7 @@ def make_grid(surface: Surface, nu: int, nv: int) -> QuadratureGrid:
         raise ValueError("resolution too small")
     xu, wu = _line_rule(*surface.domain_u, nu, surface.periodic_u)
     xv, wv = _line_rule(*surface.domain_v, nv, surface.periodic_v)
-    return QuadratureGrid(xu, xv, np.outer(wu, wv), surface.periodic_u, surface.periodic_v)
+    return QuadratureGrid(xu, xv, wu, wv)
 
 
 def _node_data(surface: Surface, grid: QuadratureGrid, rows=slice(None)):
@@ -79,7 +79,7 @@ def _node_data(surface: Surface, grid: QuadratureGrid, rows=slice(None)):
     ``rows`` of the grid (all of them by default)."""
     p = surface.point(grid.nodes_u[rows][:, None], grid.nodes_v[None, :])
     cd = curvature_at(p, row0=rows.start or 0)
-    return cd, grid.weights[rows] * cd.area_element
+    return cd, grid.weights_u[rows, None] * grid.weights_v * cd.area_element
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenRep
     lam_area = surface.exact_lambda1 * surface.exact_area
     bounds = eigenvalue_bounds(_genus(sums), sums.area, sums.integral_f)
     note = None
-    if isinstance(surface, FlatTorus) and surface.is_minimal:
+    if isinstance(surface, FlatTorus):  # only the Clifford torus has a lambda_1
         note = (
             "stated equality case not observed: lambda1*Area = 4*pi^2 "
             f"({lam_area:.6f}) differs from the bound 16*pi ({bounds['pinching']:.6f}); "
@@ -260,26 +260,3 @@ def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int) -> list[
                      "slack": sums.integral_f - FOUR_PI_SQ * _genus(sums)})
     return rows
 
-
-def convergence_probe(surface: Surface, base_grid: QuadratureGrid,
-                      rel_tol: float = 1e-9, max_doublings: int = 4):
-    """The integral of f(|Aring|) at doubling resolutions until it stabilizes,
-    evaluating each resolution once.
-
-    Returns a list of (resolution, integral_f, rel_change) tuples; the first
-    entry has rel_change = nan.
-    """
-    nu, nv = base_grid.resolution
-    rows = []
-    prev = None
-    grid = base_grid
-    for _ in range(max_doublings + 1):
-        integral_f = node_sums(surface, grid).integral_f
-        change = math.nan if prev is None else abs(integral_f - prev) / (1.0 + abs(integral_f))
-        rows.append((grid.resolution, integral_f, change))
-        if prev is not None and change < rel_tol:
-            break
-        prev = integral_f
-        nu, nv = nu * 2, nv * 2
-        grid = make_grid(surface, nu, nv)
-    return rows

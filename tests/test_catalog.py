@@ -51,10 +51,10 @@ def test_parametrization_lands_on_sphere():
 
 
 def test_minimality_flags():
-    assert clifford_torus().is_minimal
-    assert GeodesicSphere(PI / 2).is_minimal
-    assert not FlatTorus(0.6).is_minimal
-    assert not GeodesicSphere(PI / 3).is_minimal
+    # Of the flat tori only the minimal one, the Clifford torus, has a closed-form lambda_1.
+    assert clifford_torus().exact_lambda1 == 2.0
+    assert FlatTorus(0.6).exact_lambda1 is None
+    assert FlatTorus(1 / math.sqrt(2) + 1e-8).exact_lambda1 is None
     for surface in (clifford_torus(), GeodesicSphere(PI / 2)):
         u, v = random_params(surface, 500)
         cd = curvature_at(surface.point(u, v))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s3pinch import catalog, pinch, quadrature
+from s3pinch import catalog, errors, pinch, quadrature
 from s3pinch.cli import MAX_RESOLUTION, MAX_SAMPLES, build_parser, main
 from s3pinch.quadrature import MAX_SWEEP_STEPS, sweep_tori
 from s3pinch.gridio import export_grid
@@ -85,6 +85,44 @@ def test_wrong_exact_volume_fails_hk_link_and_reports_everything(capsys, monkeyp
 def test_check_bad_surface_spec_exits_2(capsys):
     assert main(["check", "torus:a=2.0"]) == 2
     assert main(["check", "blob:q=1"]) == 2
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("psphere:r=1,eps=0.1,l=171,m=0", 2),  # these three overflowed float(factorial(l))
+    ("psphere:r=1,eps=0.1,l=86,m=86", 2),
+    ("psphere:r=1,eps=0.1,l=99999999999999999999,m=0", 2),
+    ("psphere:r=1,eps=0.1,l=85,m=85", 4),  # the largest degree: unresolved at 64^2
+    ("torus:a=0.5,b=1", 2),                 # an unknown, an empty and a repeated key
+    ("torus:a=0.5,=3", 2),
+    ("torus:a=0.5,a=0.6", 2),
+])
+def test_bad_or_extreme_spec_exits_with_one_line(capsys, spec, code):
+    assert main(["--samples", "0", "check", spec]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    if code == 2:
+        assert captured.err.startswith(f"error: bad surface spec '{spec}': ")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("exc", sorted(set(_subclasses(errors.S3PinchError)), key=str),
+                         ids=lambda exc: exc.__name__)
+def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch, exc):
+    def fail(spec):
+        raise exc("it broke")
+    monkeypatch.setattr(catalog, "parse_surface", fail)
+    code = main(["check", "sphere:r=1.0"])
+    err = capsys.readouterr().err
+    if issubclass(exc, errors.NumericalFailure):
+        assert (code, err) == (4, "numerical failure: it broke\n")
+    else:
+        assert (code, err) == (2, "error: it broke\n")
 
 
 def test_bad_resolution_exits_2(capsys):

@@ -473,4 +473,3 @@ def test_grid_surface_is_a_surface(tmp_path):
     _, gs = _round_trip(tmp_path, GeodesicSphere(0.9), 32, 32)
     assert isinstance(gs, GridSurface)
     assert gs.exact_area is None
-    assert not gs.is_minimal

@@ -12,6 +12,7 @@ from s3pinch import (
     f_inverse, f_pinch, f_series, hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds,
     lemma3_gap, min_surface_maxA_bound, prop1_integrand,
 )
+from s3pinch import pinch
 from s3pinch.pinch import SOLVE_TOL
 
 SQRT2 = math.sqrt(2.0)
@@ -326,3 +327,60 @@ class TestRootResultSolves:
             assert RootResult(1.0, residual, (0.0, 2.0), 5).solves(target)
         for residual in (np.nextafter(edge, 1.0), -np.nextafter(edge, 1.0), 1e-9):
             assert not RootResult(1.0, residual, (0.0, 2.0), 5).solves(target)
+
+
+# One input contract for every elementwise function: (function, arity, a valid
+# point, a point breaking the domain rule or None, the rule's message).
+ELEMENTWISE = [
+    (f_pinch, 1, (0.5,), (-0.1,), "argument must be >= 0"),
+    (f_derivative, 1, (0.5,), (-0.1,), "argument must be >= 0"),
+    (cubic_gap, 1, (0.5,), (-0.1,), "argument must be >= 0"),
+    (beta_pinch, 1, (0.5,), (-0.1,), "argument must be >= 0"),
+    (acot, 1, (0.5,), None, None),
+    (lemma3_gap, 2, (-0.5, 0.5), (0.5, -0.5), "requires k1 <= k2"),
+    (hk_time_integral, 2, (-0.5, 0.5), (0.5, -0.5), "requires k1 <= k2"),
+    (prop1_integrand, 2, (-0.5, 0.5), (0.5, -0.5), "requires k1 <= k2"),
+    (lemma3_F, 2, (0.5, 0.2), (-0.5, 0.2), "requires t >= 0"),
+    (lemma3_dFds, 2, (0.5, 0.2), (-0.5, 0.2), "requires t >= 0"),
+    (lemma3_d2Fdtds, 2, (0.5, 0.2), (-0.5, 0.2), "requires t >= 0"),
+]
+
+
+@pytest.mark.parametrize("func, arity, valid", [row[:3] for row in ELEMENTWISE],
+                         ids=[row[0].__name__ for row in ELEMENTWISE])
+class TestElementwiseContract:
+    def test_scalar_input_gives_float(self, func, arity, valid):
+        assert type(func(*valid)) is float
+        assert type(func(*(np.float64(x) for x in valid))) is float
+
+    def test_array_input_broadcasts(self, func, arity, valid):
+        # A column and a row of valid points broadcast to their outer shape.
+        args = [np.full((3, 1), valid[0])] + [np.full((1, 4), x) for x in valid[1:]]
+        out = func(*args)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == ((3, 1) if arity == 1 else (3, 4))
+        assert out == pytest.approx(np.full(out.shape, func(*valid)), rel=1e-15)
+
+    @pytest.mark.parametrize("bad_value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, func, arity, valid, bad_value):
+        for i in range(arity):
+            for bad in (bad_value, np.array([valid[i], bad_value])):
+                args = list(valid)
+                args[i] = bad
+                with pytest.raises(DomainError, match="^non-finite input$"):
+                    func(*args)
+
+    def test_found_by_name_in_its_module(self, func, arity, valid):
+        # Tracing patches these functions by module attribute name.
+        assert getattr(pinch, func.__name__) is func
+
+
+@pytest.mark.parametrize("func, bad, message", [(f, b, m) for f, _, _, b, m in ELEMENTWISE if b],
+                         ids=[row[0].__name__ for row in ELEMENTWISE if row[3]])
+def test_elementwise_domain_rule(func, bad, message):
+    with pytest.raises(DomainError) as exc:
+        func(*bad)
+    assert str(exc.value) == message
+    # Non-finite input is reported before the domain rule.
+    with pytest.raises(DomainError, match="^non-finite input$"):
+        func(*bad[:-1], math.nan)

@@ -14,7 +14,6 @@ import s3pinch
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 ALLOWED_UNREFERENCED = {
-    "convergence_probe": "the adaptive-resolution check (ROADMAP item 2) builds on it or deletes it",
     "lemma3_dFds": "the paper's Lemma 3 partial dF/ds",
     "min_surface_maxA_bound": "the paper's max|A| corollary, shown in the README",
 }

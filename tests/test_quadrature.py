@@ -1,16 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from s3pinch import (
     DegenerateMetric, FlatTorus, GenusDetectionFailure, GeodesicSphere,
-    NotMinimal, PerturbedSphere, acot, clifford_torus, convergence_probe, f_pinch,
+    NotMinimal, PerturbedSphere, acot, clifford_torus, f_pinch,
     f_series, eigen_report, gap_report, genus_report, hk_time_integral, make_grid,
     prop1_integrand, quadrature,
 )
-from s3pinch.quadrature import _node_data
+from s3pinch.quadrature import _node_data, node_sums
 
 PI = math.pi
 FOUR_PI_SQ = 4 * PI ** 2
@@ -27,7 +28,8 @@ def test_weights_sum_to_domain_measure():
         grid = make_grid(surface, 64, 64)
         measure = (surface.domain_u[1] - surface.domain_u[0]) * \
                   (surface.domain_v[1] - surface.domain_v[0])
-        assert np.sum(grid.weights) == pytest.approx(measure, abs=1e-12 * measure)
+        total = np.sum(grid.weights_u) * np.sum(grid.weights_v)
+        assert total == pytest.approx(measure, abs=1e-12 * measure)
 
 
 def test_periodic_nodes_exclude_duplicate_endpoint():
@@ -154,45 +156,6 @@ def test_genus_detection_failure_on_tight_tolerance(monkeypatch):
         genus_report(surface, grid)
 
 
-def test_convergence_probe_clifford():
-    surface = clifford_torus()
-    rows = convergence_probe(surface, make_grid(surface, 8, 8))
-    # Constant integrand: the trapezoidal rule is exact at once.
-    final_res, _, final_change = rows[-1]
-    assert final_change < 1e-12
-    assert final_res[0] <= 32
-
-
-def test_convergence_probe_perturbed_sphere_decreases():
-    surface = PerturbedSphere(PI / 3, 0.1, 2, 0)
-    rows = convergence_probe(surface, make_grid(surface, 8, 8))
-    changes = [c for _, _, c in rows[1:]]
-    assert all(b < a for a, b in zip(changes, changes[1:]))
-
-
-def test_convergence_probe_sphere_integral_f_stays_zero():
-    surface = GeodesicSphere(0.9)
-    rows = convergence_probe(surface, make_grid(surface, 8, 8))
-    assert all(abs(v) < 1e-12 for _, v, _ in rows)
-
-
-class _CountingSphere(GeodesicSphere):
-    def __init__(self, r):
-        super().__init__(r)
-        self.point_shapes = []
-
-    def point(self, u, v):
-        self.point_shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
-        return super().point(u, v)
-
-
-def test_convergence_probe_evaluates_each_resolution_once():
-    surface = _CountingSphere(0.9)
-    rows = convergence_probe(surface, make_grid(surface, 8, 8))
-    assert len(rows) >= 2
-    assert surface.point_shapes == [(8 * 2 ** k, 8 * 2 ** k) for k in range(len(rows))]
-
-
 class _CoarseDegenerateTorus(FlatTorus):
     """Evaluates normally at 32x32 and fails the metric check on coarser grids."""
 
@@ -217,14 +180,28 @@ def test_gap_report_matches_report_and_rejects_non_minimal():
 
 
 def test_genus_and_gap_reports_share_the_minimality_rule():
-    # Off the catalog's minimal flag by 1e-8, but max |H| is far below MINIMAL_H_TOL.
+    # Off the Clifford torus by 1e-8 (no closed-form lambda_1), but max |H| is far
+    # below MINIMAL_H_TOL.
     surface = FlatTorus(1 / math.sqrt(2) + 1e-8)
     grid = make_grid(surface, 64, 64)
-    assert not surface.is_minimal
+    assert surface.exact_lambda1 is None
     rep, gap = genus_report(surface, grid), gap_report(surface, grid)
     assert rep.gap_integral == gap.integral_A3 == pytest.approx(55.8309, abs=1e-4)
     assert rep.gap_below is gap.below_threshold is False
     assert genus_report(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32)).gap_integral is None
+
+
+def test_grid_reduction_memory_does_not_grow_with_resolution():
+    # A grid is its two line rules: no (Nu, Nv) array is stored or built, so
+    # the 2048^2 reduction peaks at its tiles (a stored weight array alone is 32 MB).
+    surface = GeodesicSphere(1.0)
+    tracemalloc.start()
+    try:
+        node_sums(surface, make_grid(surface, 2048, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_sweep_and_eigen_read_each_grid_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for Heintze-Karcher tube-volume bounds and the inequality chain."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -153,11 +154,7 @@ def test_chain_violation_on_doctored_report():
     # Shrinking the quadrature weights breaks the first link.
     s = clifford_torus()
     grid = make_grid(s, 32, 32)
-    doctored = type(grid)(
-        nodes_u=grid.nodes_u, nodes_v=grid.nodes_v,
-        weights=0.5 * grid.weights,
-        periodic_u=grid.periodic_u, periodic_v=grid.periodic_v,
-    )
+    doctored = dataclasses.replace(grid, weights_u=0.5 * grid.weights_u)
     cert = verify_sum_inequality(s, doctored)
     assert cert.checks["sum_bound"] is False
     assert not all(cert.checks.values())
