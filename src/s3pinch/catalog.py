@@ -256,9 +256,10 @@ class PerturbedSphere(Surface):
 
 
 def sample_s3(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniform samples on S^3 via normalized 4-d Gaussian draws, as (n, 4) rows."""
-    x = rng.standard_normal((n, 4))
-    return np.divide(x, np.sqrt(dot(x.T, x.T))[:, None], out=x)
+    """n uniform samples on S^3 via normalized 4-d Gaussian draws, as (n, 4) rows whose
+    columns x[:, k] are contiguous: drawn and normalised component-first."""
+    x = rng.standard_normal((4, n))
+    return np.divide(x, np.sqrt(dot(x, x)), out=x).T
 
 
 def parse_surface(spec: str) -> Surface:

@@ -109,8 +109,13 @@ def f_series(t: float, terms: int) -> tuple[float, float]:
 
     Terms are (-1)^(l+1) * 8l/(4l^2-1) * (t/sqrt(2))^(2l+1) for l = 1..terms.
     Returns the partial sum and the magnitude of the next term, which bounds
-    the truncation error for this alternating series.
+    the truncation error for this alternating series.  ``t`` is a real scalar and
+    ``terms`` an integer >= 0; both come back as Python floats.
     """
+    ta, na = np.asarray(t), np.asarray(terms)
+    if ta.ndim or na.ndim or ta.dtype.kind not in "iuf" or na.dtype.kind not in "iu":
+        raise DomainError(f"need a real scalar t and integer terms, got {t!r}, {terms!r}")
+    t, terms = float(ta), int(na)
     _require_finite(t)
     if t < 0:
         raise DomainError(_NONNEG[1])

@@ -5,14 +5,16 @@ the reversed normal, whose principal curvatures are (-k2, -k1).  The per-side
 volume upper bound integrates the closed-form time integral of the tube
 Jacobian up to the focal time acot(k2).
 
-Monte-Carlo side volumes are integer counts over tiles, each its own Philox substream, so
-no scheduling changes them: given a second CPU, a check draws them on a worker thread while
-the node field is reduced.  A node-field error is the one raised; it stops the draw at once.
+Monte-Carlo side volumes are integer counts over tiles, each drawn from a stream that is a pure
+function of (seed, tile), so no scheduling changes them: given a second CPU, a check draws them
+on a worker thread while the node field is reduced.  A node-field error is the one raised; it
+stops the draw at once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -28,8 +30,8 @@ from .quadrature import _node_data, hk_time_integral, prop1_integrand  # noqa: F
 
 CHAIN_TOL = 1e-8
 DEFAULT_SAMPLES = 10 ** 6
-# Samples per tile, each tile its own Philox substream: memory does not grow
-# with n, and a 256 KB tile is reused by malloc, not re-faulted.
+# Samples per tile, each tile its own stream keyed by (seed, tile): memory does not
+# grow with n, and a 256 KB tile is reused by malloc, not re-faulted.
 MC_TILE = 2 ** 13
 # Threads that draw and classify tiles: the CPUs this process may run on, each with at least
 # MC_WORKER_SAMPLES samples (fewer added jitter), but two in a check, to draw during its node field.
@@ -76,14 +78,15 @@ def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float
 
 
 def _mc_sides(surface: Surface, n_samples: int, seed: int, samples, meanwhile=None):
-    """(meanwhile(), (estimate, stderr) of sides 1 and 2).  Workers take tiles in turn;
-    tile t is drawn from Philox(seed).jumped(t), built as the seed's key at counter
-    [0, 0, t, 0].  The calling thread runs ``meanwhile``, then joins them.  An exception
-    stops every worker before its next tile; one from ``meanwhile`` beats a worker's."""
+    """(meanwhile(), (estimate, stderr) of sides 1 and 2).  Workers take tiles in turn; tile t
+    draws from SFC64(SeedSequence(seed, spawn_key=(t,))), as SeedSequence(seed).spawn(t + 1)[t]:
+    a pure function of (seed, t).  The calling thread runs ``meanwhile``, then joins them.  An
+    exception stops every worker before its next tile; one from ``meanwhile`` beats a worker's."""
     n = int(n_samples) if samples is None else len(samples)
     if n < 1:
         raise DomainError(f"need at least one Monte-Carlo sample, got {n}")
-    key = np.random.Philox(seed).state["state"]["key"]
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     workers = min(MC_WORKERS, max(2 if meanwhile else 1, n // MC_WORKER_SAMPLES))
     counts, first_error, todo, lock = [0] * workers, {}, iter(range(0, n, MC_TILE)), threading.Lock()
 
@@ -95,9 +98,8 @@ def _mc_sides(surface: Surface, n_samples: int, seed: int, samples, meanwhile=No
                 if i is None:
                     return
                 x = samples[i:i + MC_TILE] if samples is not None else sample_s3(
-                    min(MC_TILE, n - i),
-                    np.random.Generator(np.random.Philox(key=key,
-                                                         counter=[0, 0, i // MC_TILE, 0])))
+                    min(MC_TILE, n - i), np.random.Generator(np.random.SFC64(
+                        np.random.SeedSequence(seed, spawn_key=(i // MC_TILE,)))))
                 counts[w] += int(np.count_nonzero(surface.side_classifier(x)))
         except BaseException as exc:
             first_error.setdefault("exc", exc)  # atomic: later errors are dropped

@@ -142,12 +142,19 @@ def test_sample_s3_unit_norm_and_symmetric():
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (MC_TILE + 7, 3), (200_000, 42)])
 def test_sample_s3_bits_match_normal_draw(n, seed):
-    # sample_s3 fills with standard_normal; the points must stay those of
-    # rng.normal, so callers passing samples= see the same set.
-    x = np.random.Generator(np.random.Philox(seed)).normal(size=(n, 4))
-    expected = x / np.sqrt(dot(x.T, x.T))[:, None]
+    # sample_s3 fills component-first with standard_normal; the points must stay
+    # those of rng.normal's (4, n) draw, so callers passing samples= see the same set.
+    x = np.random.Generator(np.random.Philox(seed)).normal(size=(4, n))
+    expected = (x / np.sqrt(dot(x, x))).T
     got = sample_s3(n, np.random.Generator(np.random.Philox(seed)))
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, MC_TILE])
+def test_sample_s3_rows_with_contiguous_columns(n):
+    x = sample_s3(n, np.random.default_rng(3))
+    assert x.shape == (n, 4)
+    assert all(x[:, k].flags.c_contiguous for k in range(4))
 
 
 def test_perturbed_sphere_reduces_to_round_sphere_at_zero_eps():

@@ -99,6 +99,23 @@ class TestFSeries:
         with pytest.raises(DomainError):
             f_series(2.0, 10)
 
+    @pytest.mark.parametrize("t, terms", [
+        (np.array([0.1, 0.2]), 3), (0.1, 2.5), (0.1, -1), (0.1, True), (True, 3),
+        (0.5j, 2), ("0.1", 2), (None, 2), (0.1, np.array([2])), (math.nan, 2),
+    ], ids=["array-t", "float-terms", "negative-terms", "bool-terms", "bool-t",
+            "complex-t", "str-t", "none-t", "array-terms", "nan-t"])
+    def test_rejects_all_but_a_real_scalar_and_an_int(self, t, terms):
+        with pytest.raises(DomainError):
+            f_series(t, terms)
+
+    @pytest.mark.parametrize("t, terms", [(0.5, 3), (np.array(0.5), np.array(3)),
+                                          (np.float32(0.5), np.int64(3))],
+                             ids=["python", "0-d", "numpy-scalars"])
+    def test_returns_python_floats(self, t, terms):
+        value, bound = f_series(t, terms)
+        assert type(value) is float and type(bound) is float
+        assert (value, bound) == f_series(0.5, 3)
+
 
 class TestFInverse:
     def test_examples(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from s3pinch import FlatTorus, GeodesicSphere, PerturbedSphere, cli
+from s3pinch.tube import MC_TILE
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,8 +33,8 @@ def test_every_trace_target_exists(tracing):
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr} is gone"
 
 
-def _check(tracer=None):
-    argv = ["--resolution", "16", "--samples", "1000", "check", "torus:a=0.6"]
+def _check(tracer=None, samples=1000):
+    argv = ["--resolution", "16", "--samples", str(samples), "check", "torus:a=0.6"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         if tracer is None:
@@ -50,6 +51,18 @@ def test_traced_check_prints_the_same_bytes(tracing):
     names = {span[0] for span in tracer.spans}
     assert {"quadrature.node_data", "quadrature.genus_report",
             "tube.verify_sum_inequality"} <= names
+
+
+@pytest.mark.parametrize("samples", [1000, 2 * MC_TILE + 1])
+def test_traced_check_counts_every_sample_once(tracing, samples):
+    # The per-layer counts read the (n, 4) shape of each tile sample_s3 returns:
+    # a layout slip would miscount them rather than fail the run.
+    tracer = tracing.Tracer()
+    _check(tracer, samples)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("catalog.sample_s3") == -(-samples // MC_TILE)
+    assert names.count("catalog.side_classifier") == -(-samples // MC_TILE)
+    assert tracing.per_cert(tracer)[None]["catalog.classify_samples"] == samples
 
 
 @pytest.mark.parametrize("surface", [FlatTorus(0.6), GeodesicSphere(1.0),

@@ -219,10 +219,10 @@ def _whole_draw_volumes(surface, pts):
 
 
 def _tile_draws(n, seed):
-    # Tile t of the n samples comes from the t-th jump of the seed's stream.
+    # Tile t of the n samples comes from the seed's t-th spawned stream.
     return np.concatenate([
-        sample_s3(min(MC_TILE, n - i),
-                  np.random.Generator(np.random.Philox(seed).jumped(i // MC_TILE)))
+        sample_s3(min(MC_TILE, n - i), np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed).spawn(i // MC_TILE + 1)[-1])))
         for i in range(0, n, MC_TILE)])
 
 
@@ -373,8 +373,8 @@ def test_imported_check_draws_no_samples(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 7])
-def test_tile_generators_are_jumped_substreams(monkeypatch, seed):
-    # Tile t's generator must have the state of Philox(seed).jumped(t).
+def test_tile_generators_are_spawn_key_streams(monkeypatch, seed):
+    # Tile t's generator must have the state of SFC64(SeedSequence(seed, spawn_key=(t,))).
     tiles, states = (0, 1, 2, 7, 244, 1000), []
     monkeypatch.setattr(tube, "MC_WORKERS", 1)
     monkeypatch.setattr(tube, "sample_s3", lambda n, rng: (
@@ -382,7 +382,24 @@ def test_tile_generators_are_jumped_substreams(monkeypatch, seed):
     monkeypatch.setattr(GeodesicSphere, "side_classifier", lambda self, x: np.zeros(len(x), bool))
     monte_carlo_volume(GeodesicSphere(1.0), 1, n_samples=(tiles[-1] + 1) * MC_TILE, seed=seed)
     for t in tiles:
-        np.testing.assert_equal(states[t], np.random.Philox(seed).jumped(t).state)
+        np.testing.assert_equal(states[t], np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(t,))).state)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3", np.float64(2.0)])
+def test_monte_carlo_rejects_a_seed_that_is_not_an_integer_ge_0(seed):
+    s = FlatTorus(0.6)
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        monte_carlo_volume(s, 1, n_samples=100, seed=seed)
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        verify_sum_inequality(s, make_grid(s, 16, 16), mc_samples=100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(7), 2 ** 130])
+def test_monte_carlo_takes_any_integer_seed_ge_0(seed):
+    s, n = FlatTorus(0.6), MC_TILE + 1
+    assert monte_carlo_volume(s, 1, n_samples=n, seed=seed) == _whole_draw_volumes(
+        s, _tile_draws(n, seed))[0]
 
 
 def test_verify_with_mc_attached():
