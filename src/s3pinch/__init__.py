@@ -10,7 +10,7 @@ from .geometry import (
 )
 from .pinch import (
     RootResult, acot, at_most, beta_pinch, beta_solve, beta_target, cubic_gap,
-    eigenvalue_bound_rhs, eigenvalue_bounds, f_derivative, f_inverse, f_pinch, f_series,
+    eigenvalue_bound_rhs, eigenvalue_bounds, f_inverse, f_pinch, f_series,
     hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds, lemma3_gap,
     min_surface_maxA_bound, prop1_integrand,
 )

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ImmersionFailure
-from .geometry import SurfacePoint, dot, first_fundamental_form
+from .geometry import DEGENERACY_RTOL, SurfacePoint, dot, first_fundamental_form
 from .pinch import S3_VOLUME, SQRT2
 
 TWO_PI = 2.0 * math.pi
@@ -212,7 +212,7 @@ class PerturbedSphere(Surface):
             raise DomainError("perturbed radius leaves (0, pi); reduce eps")
         E, F, G = first_fundamental_form(self.point(U, V))
         det = E * G - F * F
-        if np.any(det <= 1e-12 * E * G):
+        if np.any(det <= DEGENERACY_RTOL * E * G):
             raise ImmersionFailure("EG - F^2 degenerates at a probe node; reduce eps")
 
     def point(self, u, v) -> SurfacePoint:

@@ -5,8 +5,11 @@ File format: UTF-8 CSV with a leading comment line
     # periodic_u=true periodic_v=true domain_u=[0,6.283185307] domain_v=[0,6.283185307]
 
 followed by the header ``u,v,x1,x2,x3,x4`` and rows in row-major order over a
-uniform (Nu x Nv) parameter grid.  Periodic directions exclude the duplicate
-endpoint; non-periodic directions include both endpoints.
+uniform (Nu x Nv) parameter grid whose n nodes per direction, spaced h apart, tile
+that direction's domain [lo, hi]: a periodic direction excludes the duplicate
+endpoint (n*h = hi - lo); a non-periodic one holds either both endpoints
+((n-1)*h = hi - lo, first node lo) or the cell centres that export writes
+(n*h = hi - lo, first node lo + h/2).
 
 Imported surfaces get derivative suppliers from 6th-order finite-difference
 stencils on the sample grid, so they are usable only at their own nodes.
@@ -25,6 +28,7 @@ from .geometry import SurfacePoint
 from .quadrature import NODE_TILE, QuadratureGrid
 
 ON_SPHERE_TOL = 1e-6
+SPACING_RTOL = 1e-9  # node spacing, and a domain's tiling, relative to its own size
 MIN_PERIODIC_RESOLUTION = 16
 _STENCIL = 7  # 6th-order accuracy
 
@@ -115,27 +119,29 @@ class GridSurface(Surface):
         return SurfacePoint(*(x[:, i, j] for x in self._fields))
 
     def natural_grid(self) -> QuadratureGrid:
-        """Quadrature grid over the sample nodes.
-
-        Periodic directions get the equispaced rule; non-periodic directions
-        get the trapezoid rule when the nodes include the domain endpoints
-        and the midpoint rule when they are cell centres.
-        """
-        def wts(nodes, domain, periodic):
-            n = len(nodes)
-            length = domain[1] - domain[0]
-            if periodic:
-                return np.full(n, length / n)
-            h = nodes[1] - nodes[0]
-            if abs(nodes[0] - domain[0]) < 0.25 * h:
-                w = np.full(n, h)
-                w[0] = w[-1] = h / 2.0
-                return w
-            return np.full(n, length / n)
-
+        """Quadrature grid over the sample nodes, weighted by `_line_weights`."""
         return QuadratureGrid(self.nodes_u, self.nodes_v,
-                              wts(self.nodes_u, self.domain_u, self.periodic_u),
-                              wts(self.nodes_v, self.domain_v, self.periodic_v))
+                              _line_weights(self.nodes_u, self.domain_u, self.periodic_u),
+                              _line_weights(self.nodes_v, self.domain_v, self.periodic_v))
+
+
+def _line_weights(nodes, domain, periodic) -> np.ndarray:
+    """Weights of one direction's uniform nodes: equispaced if periodic, else trapezoid on
+    both endpoints or midpoint on cell centres; FormatError unless the nodes tile so."""
+    (lo, hi), n = domain, len(nodes)
+    h = (nodes[-1] - nodes[0]) / (n - 1)
+
+    def close(a, b):
+        return abs(a - b) <= SPACING_RTOL * (hi - lo)
+
+    if not periodic and close((n - 1) * h, hi - lo) and close(nodes[0], lo):
+        w = np.full(n, nodes[1] - nodes[0])
+        w[0] = w[-1] = w[0] / 2.0
+        return w
+    if close(n * h, hi - lo) and (periodic or close(nodes[0], lo + h / 2)):
+        return np.full(n, (hi - lo) / n)
+    raise FormatError(f"{n} nodes from {float(nodes[0])!r} spaced {float(h)!r} do not tile the "
+                      f"{'periodic' if periodic else 'non-periodic'} domain [{lo!r},{hi!r}]")
 
 
 def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
@@ -239,10 +245,11 @@ def import_surface(path) -> GridSurface:
        not np.allclose(data[:, 1], np.tile(nodes_v, nu)):
         raise FormatError("rows are not row-major over a uniform grid")
     _check_resolution(nu, nv, periodic_u, periodic_v)
-    for nodes in (nodes_u, nodes_v):
+    for nodes, domain, periodic in ((nodes_u, du, periodic_u), (nodes_v, dv, periodic_v)):
         steps = np.diff(nodes)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        if not np.allclose(steps, steps[0], rtol=SPACING_RTOL, atol=1e-12):
             raise FormatError("grid nodes are not uniformly spaced")
+        _line_weights(nodes, domain, periodic)  # FormatError unless they tile the domain
 
     pos = data[:, 2:].T.reshape(4, nu, nv)
     norms = np.linalg.norm(pos, axis=0)

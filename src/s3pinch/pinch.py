@@ -20,11 +20,7 @@ SQRT2 = math.sqrt(2.0)
 S3_VOLUME = 2.0 * math.pi ** 2     # |S^3|
 FOUR_PI_SQ = 4.0 * math.pi ** 2    # 2|S^3|, the left side of the sum inequality
 
-# Root-solve knobs: bisect to this bracket width, then Newton-polish.
-BISECT_WIDTH = 1e-8
-NEWTON_STEPS = 20
-ROOT_RTOL = 1e-12
-BRACKET_MAX = 1e6
+BRACKET_MAX = 1e6  # a root solve doubles its bracket [0, 1] at most up to this
 # A root solves its equation when |residual| <= SOLVE_TOL*(1 + |target|).  This is
 # fixed, not the certificate tolerance: --tol defaults to 1e-8, 1000x looser.
 SOLVE_TOL = 1e-11
@@ -98,12 +94,6 @@ def f_pinch(t):
     return 2.0 * _x_minus_atan(x) + t * t * np.arctan(x)
 
 
-@elementwise(_NONNEG)
-def f_derivative(t):
-    """Derivative of f_pinch: 2*sqrt(2)*t^2/(2+t^2) + 2*t*atan(t/sqrt(2))."""
-    return 2.0 * SQRT2 * t * t / (2.0 + t * t) + 2.0 * t * np.arctan(t / SQRT2)
-
-
 def f_series(t: float, terms: int) -> tuple[float, float]:
     """Alternating power series for f_pinch, valid on 0 <= t < sqrt(2).
 
@@ -132,11 +122,12 @@ def f_series(t: float, terms: int) -> tuple[float, float]:
     return total, bound
 
 
-def solve_increasing(func, target: float, dfunc, hi_guess: float = 1.0) -> RootResult:
+def solve_increasing(func, target: float) -> RootResult:
     """Solve func(x) = target for a strictly increasing func on [0, inf).
 
-    Brackets by doubling from ``hi_guess``, bisects to width BISECT_WIDTH,
-    then polishes with Newton steps on the derivative ``dfunc``.
+    Doubles the bracket [0, 1] until func(hi) >= target, then bisects at 0.5*(lo + hi),
+    the correctly rounded midpoint, which lies strictly inside until lo and hi are
+    adjacent doubles.  Then func(lo) < target <= func(hi), and the root is hi.
     """
     _require_finite(target)
     f0 = func(0.0)
@@ -145,43 +136,28 @@ def solve_increasing(func, target: float, dfunc, hi_guess: float = 1.0) -> RootR
     if target == f0:
         return RootResult(0.0, 0.0, (0.0, 0.0), 0)
 
-    lo, hi = 0.0, hi_guess
-    iters = 0
+    lo, hi, iters = 0.0, 1.0, 0
     while func(hi) < target:
         lo, hi = hi, hi * 2.0
         iters += 1
         if hi > BRACKET_MAX:
             raise BracketFailure(f"no root below {BRACKET_MAX} for target {target}")
 
-    blo, bhi = lo, hi
-    while bhi - blo > BISECT_WIDTH:
-        mid = 0.5 * (blo + bhi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         iters += 1
         if func(mid) < target:
-            blo = mid
+            lo = mid
         else:
-            bhi = mid
-
-    x = 0.5 * (blo + bhi)
-    for _ in range(NEWTON_STEPS):
-        r = func(x) - target
-        d = dfunc(x)
-        if d == 0.0:
-            break
-        step = r / d
-        x -= step
-        iters += 1
-        if abs(step) <= ROOT_RTOL * (1.0 + abs(x)):
-            break
-    return RootResult(x, func(x) - target, (blo, bhi), iters)
+            hi = mid
+    return RootResult(hi, func(hi) - target, (lo, hi), iters)
 
 
 def f_inverse(y: float) -> RootResult:
-    """Inverse of f_pinch by bisection plus Newton polish (f is increasing)."""
+    """Inverse of f_pinch by bisection (f is increasing)."""
     _require_finite(y)
     if y < 0:
         raise DomainError("f_inverse requires y >= 0")
-    return solve_increasing(f_pinch, y, dfunc=f_derivative, hi_guess=SQRT2)
+    return solve_increasing(f_pinch, y)
 
 
 @elementwise(_ORDERED)
@@ -247,8 +223,7 @@ def cubic_gap(t):
     small = t < 1.0
     x = np.where(small, t, 0.0) / SQRT2
     series = _cubic_gap_series(x)
-    direct = 2.0 * SQRT2 * t ** 3 / 3.0 - (
-        SQRT2 * t + (t * t - 2.0) * np.arctan(t / SQRT2))
+    direct = 2.0 * SQRT2 * t ** 3 / 3.0 - f_pinch(t)
     return np.where(small, series, direct)
 
 
@@ -276,8 +251,9 @@ def prop1_integrand(k1, k2):
 
 @elementwise(_NONNEG)
 def beta_pinch(b):
-    """Strictly increasing map beta -> beta + (beta^2 - 1)*atan(beta)."""
-    return b + (b * b - 1.0) * np.arctan(b)
+    """Strictly increasing map b -> b + (b^2 - 1)*atan(b), evaluated as f_pinch(sqrt(2)*b)/2
+    = (b - atan b) + b^2*atan(b): both terms are nonnegative, so small b does not cancel."""
+    return _x_minus_atan(b) + b * b * np.arctan(b)
 
 
 def beta_target(g0: int, area: float) -> float:
@@ -292,8 +268,7 @@ def beta_target(g0: int, area: float) -> float:
 
 def beta_solve(g0: int, area: float) -> RootResult:
     """Solve beta + (beta^2 - 1)*atan(beta) = beta_target(g0, area) for beta >= 0."""
-    dphi = lambda b: 2.0 * b * math.atan(b) + 2.0 * b * b / (1.0 + b * b)
-    return solve_increasing(beta_pinch, beta_target(g0, area), dfunc=dphi)
+    return solve_increasing(beta_pinch, beta_target(g0, area))
 
 
 def min_surface_maxA_target(g: int, ambient_volume: float = S3_VOLUME) -> float:

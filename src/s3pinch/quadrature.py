@@ -136,8 +136,8 @@ class GenusReport:
     slack: float
     cubic_lhs: float        # 2 pi^2 genus
     cubic_rhs: float        # (sqrt(2)/3) integral of |Aring|^3
-    convergence: float      # relative change of integral_f under grid halving (nan if
-                            # below 16 nodes or the surface is only sampled)
+    convergence: float | None   # relative change of integral_f under grid halving (None
+                                # if below 16 nodes or the surface is only sampled)
     resolution: tuple[int, int]
     # Gap-theorem certificate, populated when max |H| <= MINIMAL_H_TOL only.
     gap_integral: float | None = None   # integral of |A|^3
@@ -173,7 +173,7 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
     sums = node_sums(surface, grid) if nodes is None else nodes
     genus = _genus(sums)
 
-    convergence = math.nan
+    convergence = None
     nu, nv = grid.resolution
     if nu >= 16 and nv >= 16 and not surface.sampled:
         coarse_f = node_sums(surface, make_grid(surface, nu // 2, nv // 2)).integral_f

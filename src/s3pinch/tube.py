@@ -2,8 +2,8 @@
 
 Side 1 of a surface is the region its frame normal points into; side 2 uses
 the reversed normal, whose principal curvatures are (-k2, -k1).  The per-side
-volume upper bound integrates the closed-form time integral of the tube
-Jacobian up to the focal time acot(k2).
+volume upper bound is the closed-form time integral of the tube Jacobian up to
+the focal time acot(k2), summed over the grid's nodes in `quadrature.node_sums`.
 
 Monte-Carlo side volumes are integer counts over tiles, each drawn from a stream that is a pure
 function of (seed, tile), so no scheduling changes them: given a second CPU, a check draws them

@@ -221,7 +221,7 @@ def test_sphere_chart_import_has_no_coarse_probe(tmp_path):
     # Gauss-Legendre coarse nodes miss the cell-centre samples of a sphere
     # chart, so the convergence probe is skipped rather than failed.
     _, gs = _round_trip(tmp_path, GeodesicSphere(1.0), 32, 32)
-    assert math.isnan(genus_report(gs, gs.natural_grid()).convergence)
+    assert genus_report(gs, gs.natural_grid()).convergence is None
 
 
 def test_periodic_import_reports_no_convergence(tmp_path, capsys):
@@ -233,7 +233,7 @@ def test_periodic_import_reports_no_convergence(tmp_path, capsys):
     rep = genus_report(gs, gs.natural_grid())
     exact = f_pinch((s.a / s.b + s.b / s.a) / math.sqrt(2.0)) * s.exact_area
     assert abs(rep.integral_f - exact) > 1e-9 * exact
-    assert math.isnan(rep.convergence)
+    assert rep.convergence is None
     assert genus_report(s, make_grid(s, 64, 64)).convergence < 1e-12
     assert main(["--samples", "1000", "import", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["genus_report"]["convergence"] is None
@@ -373,6 +373,35 @@ def test_nonuniform_spacing_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         import_surface(path)
+
+
+@pytest.mark.parametrize("surface, old, new, dropped_rows", [
+    (FlatTorus(0.6), "domain_u=[0.0,6.283185307179586]", "domain_u=[0.0,12.566370614359172]", 0),
+    (FlatTorus(0.6), "", "", 32),
+    (GeodesicSphere(1.0), "domain_v=[0.0,3.141592653589793]", "domain_v=[0.0,3.0]", 0),
+], ids=["torus-domain-u-doubled", "torus-last-u-row-deleted", "sphere-wrong-domain-v"])
+def test_nodes_that_do_not_tile_their_domain_rejected(tmp_path, surface, old, new, dropped_rows):
+    # natural_grid weighs nodes by domain/n, the FD partials by the node spacing: the
+    # doubled torus domain would certify twice the area, the missing row a chi of 0.074.
+    path, _ = _round_trip(tmp_path, surface, 32, 32)
+    lines = path.read_text().splitlines()
+    assert old in lines[0]
+    lines[0] = lines[0].replace(old, new)
+    path.write_text("\n".join(lines[:len(lines) - dropped_rows]) + "\n")
+    with pytest.raises(FormatError, match="do not tile"):
+        import_surface(path)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--samples", "1000", "import", str(path)]) == 2
+
+
+def test_non_periodic_endpoint_nodes_tile_their_domain(tmp_path):
+    # A torus's v-nodes read as a non-periodic direction that holds both endpoints.
+    path, gs = _round_trip(tmp_path, FlatTorus(0.6), 32, 32)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("periodic_v=true", "periodic_v=false").replace(
+        "domain_v=[0.0,6.283185307179586]", f"domain_v=[0.0,{float(gs.nodes_v[-1])!r}]")
+    path.write_text("\n".join(lines) + "\n")
+    assert not import_surface(path).periodic_v
 
 
 # ---------------------------------------------------------------------------

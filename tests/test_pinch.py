@@ -1,16 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from s3pinch import (
     BracketFailure, DomainError, RootResult, acot, at_most, beta_pinch, beta_solve,
-    beta_target, cubic_gap, eigenvalue_bound_rhs, eigenvalue_bounds, f_derivative,
-    f_inverse, f_pinch, f_series, hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds,
-    lemma3_gap, min_surface_maxA_bound, prop1_integrand,
+    beta_target, cubic_gap, eigenvalue_bound_rhs, eigenvalue_bounds, f_inverse, f_pinch,
+    f_series, hk_time_integral, lemma3_F, lemma3_d2Fdtds, lemma3_dFds, lemma3_gap,
+    min_surface_maxA_bound, prop1_integrand,
 )
 from s3pinch import pinch
 from s3pinch.pinch import SOLVE_TOL
@@ -39,33 +40,49 @@ class TestFPinch:
         with pytest.raises(DomainError):
             f_pinch(float("inf"))
 
+    # The root solves bisect f_pinch and beta_pinch, so both must increase in floats too.
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 20.0), st.floats(0.0, 20.0))
+    @example(1e-9, 2e-9)
     def test_strictly_increasing(self, a, b):
         if a == b:
             return
         lo, hi = min(a, b), max(a, b)
-        assert f_pinch(lo) <= f_pinch(hi)
-        # f(t) ~ t^3 underflows to 0.0 below t ~ 1e-108, and for arguments an
-        # ulp apart the outputs can coincide; strictness is only representable
-        # for well-separated arguments.
-        if hi >= 1e-100 and hi - lo > 1e-12 * (1.0 + hi):
-            assert f_pinch(lo) < f_pinch(hi)
+        for func in (f_pinch, beta_pinch):
+            assert func(lo) <= func(hi)
+            # f(t) ~ t^3 underflows to 0.0 below t ~ 1e-108, and for arguments an
+            # ulp apart the outputs can coincide; strictness is only representable
+            # for well-separated arguments.
+            if hi >= 1e-100 and hi - lo > 1e-12 * (1.0 + hi):
+                assert func(lo) < func(hi)
 
 
-class TestFDerivative:
-    def test_examples(self):
-        assert f_derivative(0.0) == 0.0
-        assert f_derivative(SQRT2) == pytest.approx(SQRT2 + SQRT2 * math.pi / 2, abs=1e-14)
+def assert_adjacent_bracket(res, func, target):
+    """The solve's contract: lo and hi adjacent doubles, func(lo) < target <= func(hi),
+    and the root is hi."""
+    lo, hi = res.bracket
+    assert np.nextafter(lo, math.inf) == hi
+    assert res.value == hi
+    assert func(lo) < target <= func(hi)
+    assert res.residual == func(hi) - target
 
-    def test_matches_finite_difference(self):
-        h = 1e-5
-        for t in RNG.uniform(0.01, 5.0, size=100):
-            fd = (f_pinch(t + h) - f_pinch(t - h)) / (2 * h)
-            assert f_derivative(t) == pytest.approx(fd, abs=1e-6)
 
-    def test_positive_for_positive_argument(self):
-        assert np.all(f_derivative(RNG.uniform(1e-6, 20, size=200)) > 0)
+def mp_root(closed_form, target):
+    """Root of closed_form(x) = target at 100 digits, which survive the closed forms'
+    cancellation at x ~ 1e-20: halve [1, 2] to a bracket [x, 2x], then Anderson-Bjorck."""
+    with mp.workdps(100):
+        y, hi = mp.mpf(target), mp.mpf(2)
+        while closed_form(hi / 2) >= y:
+            hi /= 2
+        return float(mp.findroot(lambda x: closed_form(x) - y, (hi / 2, hi), solver="anderson"))
+
+
+def mp_f(t):
+    return mp.sqrt(2) * t + (t * t - 2) * mp.atan(t / mp.sqrt(2))
+
+
+def mp_beta(b):
+    return b + (b * b - 1) * mp.atan(b)
 
 
 class TestFSeries:
@@ -124,11 +141,16 @@ class TestFInverse:
         assert f_inverse(f_pinch(3.7)).value == pytest.approx(3.7, abs=1e-10)
 
     def test_residual_and_bracket_invariants(self):
-        for y in RNG.uniform(0.0, 50.0, size=50):
+        for y in [*RNG.uniform(0.0, 50.0, size=50), math.pi / 4, 2.0, 1e-300]:
             res = f_inverse(y)
-            assert abs(res.residual) <= 1e-11 * (1.0 + y)
-            lo, hi = res.bracket
-            assert f_pinch(lo) <= y <= f_pinch(hi) or lo == hi == 0.0
+            assert abs(res.residual) <= 1e-15 * (1.0 + y)
+            assert_adjacent_bracket(res, f_pinch, y)
+
+    @pytest.mark.parametrize("y", [1e-30, 1e-40, 1e-60])
+    def test_tiny_targets_match_mpmath(self, y):
+        res = f_inverse(y)
+        assert_adjacent_bracket(res, f_pinch, y)
+        assert res.value == pytest.approx(mp_root(mp_f, y), rel=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1e-6, 10.0))
@@ -263,6 +285,13 @@ class TestBetaSolve:
     def test_huge_area_gives_zero(self):
         assert beta_solve(1, 1e14).value == pytest.approx(0.0, abs=1e-4)
 
+    @pytest.mark.parametrize("area", [1e14, 1e20, 1e30, 5.0, 2 * math.pi ** 2])
+    def test_adjacent_bracket_matches_mpmath(self, area):
+        target = beta_target(1, area)
+        res = beta_solve(1, area)
+        assert_adjacent_bracket(res, beta_pinch, target)
+        assert res.value == pytest.approx(mp_root(mp_beta, target), rel=1e-15)
+
     def test_genus_two_frozen_value(self):
         res = beta_solve(2, 2 * math.pi ** 2)
         assert res.value == pytest.approx(BETA_RHS2, abs=1e-10)
@@ -350,7 +379,6 @@ class TestRootResultSolves:
 # point, a point breaking the domain rule or None, the rule's message).
 ELEMENTWISE = [
     (f_pinch, 1, (0.5,), (-0.1,), "argument must be >= 0"),
-    (f_derivative, 1, (0.5,), (-0.1,), "argument must be >= 0"),
     (cubic_gap, 1, (0.5,), (-0.1,), "argument must be >= 0"),
     (beta_pinch, 1, (0.5,), (-0.1,), "argument must be >= 0"),
     (acot, 1, (0.5,), None, None),
