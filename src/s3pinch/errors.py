@@ -50,4 +50,4 @@ class OffSphere(FormatError):
 
 
 class ResolutionTooCoarse(FormatError):
-    """Grid file resolution below the finite-difference floor."""
+    """Grid file resolution below the import floor."""

@@ -11,8 +11,9 @@ endpoint (n*h = hi - lo); a non-periodic one holds either both endpoints
 ((n-1)*h = hi - lo, first node lo) or the cell centres that export writes
 (n*h = hi - lo, first node lo + h/2).
 
-Imported surfaces get derivative suppliers from 6th-order finite-difference
-stencils on the sample grid, so they are usable only at their own nodes.
+Imported surfaces get their partials from the samples alone, so they are usable
+only at their own nodes: spectral along a periodic direction, 6th-order
+finite-difference stencils along a non-periodic one.
 """
 
 from __future__ import annotations
@@ -44,20 +45,24 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 
 def _derivative(values: np.ndarray, axis: int, h: float, order: int,
                 periodic: bool) -> np.ndarray:
-    """Apply a 7-point finite-difference stencil along one axis: one centred
-    stencil for every interior node (a periodic axis is padded with 3 wrapped rows
-    per end), one-sided weights for the 3 + 3 non-periodic boundary rows (Fornberg 1988)."""
-    half = _STENCIL // 2
-    w = _fd_weights(np.arange(-half, half + 1), order)
+    """d^order/dx^order along one axis: spectral on a periodic axis, exact for every Fourier
+    mode its n samples resolve (Trefethen 2000, ch. 3); else a 7-point stencil, centred on
+    every interior node and one-sided on the 3 + 3 boundary rows (Fornberg 1988)."""
     vals = np.moveaxis(values, axis, 0)
     n = len(vals)
-    pad = np.concatenate([vals[n - half:], vals, vals[:half]]) if periodic else vals
+    if periodic:
+        ik = 2j * np.pi * np.fft.rfftfreq(n, h)  # period n*h
+        spectrum = (np.fft.rfft(vals, axis=0).T * ik ** order).T  # .T: broadcast along axis 0
+        # irfft reads an even n's Nyquist term as real, dropping its odd derivatives (0 at nodes)
+        return np.moveaxis(np.fft.irfft(spectrum, n, axis=0), 0, axis)
+    half = _STENCIL // 2
+    w = _fd_weights(np.arange(-half, half + 1), order)
     res = np.empty_like(vals)
-    inner = res if periodic else res[half:n - half]
-    np.multiply(w[0], pad[:len(inner)], out=inner)
+    inner = res[half:n - half]
+    np.multiply(w[0], vals[:len(inner)], out=inner)
     for k in range(1, _STENCIL):
-        inner += w[k] * pad[k:k + len(inner)]
-    for i in () if periodic else (*range(half), *range(n - half, n)):
+        inner += w[k] * vals[k:k + len(inner)]
+    for i in (*range(half), *range(n - half, n)):
         start = min(max(i - half, 0), n - _STENCIL)
         wb = _fd_weights(np.arange(start, start + _STENCIL) - i, order)
         res[i] = np.tensordot(wb, vals[start:start + _STENCIL], axes=(0, 0))
@@ -65,7 +70,7 @@ def _derivative(values: np.ndarray, axis: int, h: float, order: int,
 
 
 def _check_resolution(nu: int, nv: int, periodic_u: bool, periodic_v: bool) -> None:
-    """ResolutionTooCoarse unless each direction has the nodes its stencil needs."""
+    """ResolutionTooCoarse unless each direction has the nodes its partials need."""
     for n, periodic in ((nu, periodic_u), (nv, periodic_v)):
         if n < (MIN_PERIODIC_RESOLUTION if periodic else _STENCIL):
             raise ResolutionTooCoarse(
@@ -74,13 +79,10 @@ def _check_resolution(nu: int, nv: int, periodic_u: bool, periodic_v: bool) -> N
 
 
 class GridSurface(Surface):
-    """Surface defined by position samples on a uniform parameter grid, kept with their FD
+    """Surface defined by position samples on a uniform parameter grid, kept with their
     partials as (4, Nu, Nv) arrays; ``positions`` may be 4 components broadcasting to (Nu, Nv)."""
 
     sampled = True
-    # FD partials carry truncation error: at a tolerance of 1e-8 it alone fails a
-    # flat torus's Heintze-Karcher equality, so certificates use at least this one.
-    tol_floor = 1e-4
 
     def __init__(self, nodes_u, nodes_v, positions, domain_u, domain_v,
                  periodic_u, periodic_v, name="imported"):
@@ -198,8 +200,10 @@ def import_surface(path) -> GridSurface:
         with open(path, "r", encoding="utf-8") as fh:
             lines = _content_lines(fh)
             meta_line, header, first_row = (next(lines, "").strip() for _ in range(3))
-            if not first_row or not meta_line.startswith("#"):
+            if not meta_line.startswith("#"):
                 raise FormatError("missing metadata comment line")
+            if not first_row:
+                raise FormatError("no data rows follow the header")
             # numpy's C reader parses each value exactly as float() does.
             data = np.loadtxt(itertools.chain([first_row], lines), delimiter=",",
                               ndmin=2, comments=None)

@@ -137,7 +137,7 @@ class GenusReport:
     cubic_lhs: float        # 2 pi^2 genus
     cubic_rhs: float        # (sqrt(2)/3) integral of |Aring|^3
     convergence: float | None   # relative change of integral_f under grid halving (None
-                                # if below 16 nodes or the surface is only sampled)
+                                # below 16 nodes, or if sampled: halving re-reads its samples)
     resolution: tuple[int, int]
     # Gap-theorem certificate, populated when max |H| <= MINIMAL_H_TOL only.
     gap_integral: float | None = None   # integral of |A|^3

@@ -134,8 +134,7 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
                           mc_samples: int | None = None, seed: int = 0,
                           tol: float = CHAIN_TOL) -> ChainReport:
     """Evaluate every link of the genus-bound inequality chain, each under
-    `at_most`'s rule at ``tol`` or the surface's larger `tol_floor`, from one
-    pass of `node_sums` over the grid.
+    `at_most`'s rule at ``tol``, from one pass of `node_sums` over the grid.
 
     checks: theorem2 (4 pi^2 g <= integral of f(|Aring|)), cubic (2 pi^2 g <=
     (sqrt(2)/3) integral of |Aring|^3), sum_bound (2|M| <= 2*(bound_1 +
@@ -149,7 +148,6 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
 
     (sums, report), mc = (_mc_sides(surface, mc_samples, seed, None, node_field)
                           if mc_samples and not surface.sampled else (node_field(), (None, None)))
-    tol = max(tol, surface.tol_floor)
     sum_rhs = 2.0 * sum(sums.hk_upper)
     prop1_lhs = FOUR_PI_SQ * report.genus
     exact = surface.exact_side_volumes

@@ -1,4 +1,4 @@
-"""Tests for grid export/import and finite-difference reconstruction."""
+"""Tests for grid export/import and the reconstruction of its partials."""
 
 import contextlib
 import io
@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3pinch import quadrature
 from s3pinch.catalog import FlatTorus, GeodesicSphere, PerturbedSphere, Surface, clifford_torus
 from s3pinch.cli import main
 from s3pinch.errors import (
     FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse, S3PinchError,
 )
 from s3pinch.geometry import SurfacePoint
-from s3pinch.gridio import GridSurface, _derivative, _fd_weights, export_grid, import_surface
+from s3pinch.gridio import GridSurface, _derivative, export_grid, import_surface
 from s3pinch.pinch import f_pinch
 from s3pinch.quadrature import genus_report, make_grid
 from s3pinch.tube import CHAIN_TOL, verify_sum_inequality
@@ -174,47 +175,53 @@ def test_blank_lines_and_spaces_around_commas_import(tmp_path):
         import_surface(path)
 
 
-def _reference_derivative(values, axis, h, order, periodic):
-    """The per-row Vandermonde solve the vectorised stencil replaced."""
+def _reference_derivative(values, axis, h, order):
+    """The per-row Vandermonde solve the vectorised non-periodic stencil replaced."""
     vals = np.moveaxis(values, axis, 0)
     n = len(vals)
     res = np.empty_like(vals)
     rhs = np.zeros(7)
     rhs[order] = math.factorial(order)
     for i in range(n):
-        if periodic:
-            offs = np.arange(-3, 4)
-        else:
-            start = min(max(i - 3, 0), n - 7)
-            offs = np.arange(start, start + 7) - i
+        start = min(max(i - 3, 0), n - 7)
+        offs = np.arange(start, start + 7) - i
         w = np.linalg.solve(np.vander(offs, 7, increasing=True).T, rhs)
-        res[i] = np.tensordot(w, vals[(i + offs) % n], axes=(0, 0))
+        res[i] = np.tensordot(w, vals[i + offs], axes=(0, 0))
     return np.moveaxis(res, 0, axis) / h ** order
 
 
 @pytest.mark.parametrize("n", [7, 8, 32])
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("periodic", [False])  # a periodic axis: the exactness test below
 def test_derivative_matches_per_row_reference(n, order, periodic):
     rng = np.random.default_rng(n * 10 + order)
     for axis, shape in ((0, (n, 5, 4)), (1, (3, n, 4))):
         values = rng.uniform(-1.0, 1.0, shape)
         got = _derivative(values, axis, 1.0, order, periodic)
-        ref = _reference_derivative(values, axis, 1.0, order, periodic)
+        ref = _reference_derivative(values, axis, 1.0, order)
         assert np.max(np.abs(got - ref)) < 1e-13
 
 
+@pytest.mark.parametrize("n", [7, 8, 16, 17, 32])
 @pytest.mark.parametrize("order", [1, 2])
-def test_periodic_derivative_bit_identical_to_roll_sum(order):
-    # The np.roll sum the wrapped-row padding replaced, same weights, same order.
-    w = _fd_weights(np.arange(-3, 4), order)
-    rng = np.random.default_rng(order)
-    for axis, shape in ((0, (40, 33, 4)), (1, (33, 40, 4))):
-        values = rng.uniform(-1.0, 1.0, shape)
-        ref = np.zeros_like(values)
-        for k, off in enumerate(range(-3, 4)):
-            ref += w[k] * np.roll(values, -off, axis=axis)
-        assert np.array_equal(_derivative(values, axis, 0.1, order, True), ref / 0.1 ** order)
+def test_periodic_derivative_is_exact_on_trig_polynomials(n, order):
+    # Every mode of degree < n/2, plus cos(n x / 2) when n is even (its odd derivatives
+    # vanish at the nodes), is differentiated to rounding error on either axis.
+    rng = np.random.default_rng(n * 10 + order)
+    h = 2.0 * math.pi / n
+    x = h * np.arange(n)
+    k = np.arange(n // 2 + 1)[:, None]
+    for axis, shape in ((0, (n, 3, 4)), (1, (3, n, 4))):
+        a, b = rng.uniform(-1.0, 1.0, (2, len(k), 1))
+        b[k == n / 2] = 0.0  # sin(n x / 2) is 0 at every node
+        f = (a * np.cos(k * x) + b * np.sin(k * x)).sum(axis=0)
+        phase = k * x + order * math.pi / 2  # d/dx shifts cos and sin by a quarter turn
+        exact = (k ** order * (a * np.cos(phase) + b * np.sin(phase))).sum(axis=0)
+        along = [-1 if d == axis else 1 for d in range(3)]
+        values = np.broadcast_to(f.reshape(along), shape).copy()
+        got = _derivative(values, axis, h, order, True)
+        err = np.abs(got - exact.reshape(along))
+        assert np.max(err) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_sphere_chart_import_has_no_coarse_probe(tmp_path):
@@ -226,13 +233,13 @@ def test_sphere_chart_import_has_no_coarse_probe(tmp_path):
 
 def test_periodic_import_reports_no_convergence(tmp_path, capsys):
     # Half-resolution nodes of an imported torus are every other sample, so a
-    # probe would re-read the same finite-difference derivatives (change
-    # ~1e-15) while integral_f is off its closed form by ~1e-8.
+    # probe would re-read the same samples; the spectral partials leave
+    # integral_f on its closed form to rounding.
     s = FlatTorus(0.55)
     path, gs = _round_trip(tmp_path, s, 64, 64)
     rep = genus_report(gs, gs.natural_grid())
     exact = f_pinch((s.a / s.b + s.b / s.a) / math.sqrt(2.0)) * s.exact_area
-    assert abs(rep.integral_f - exact) > 1e-9 * exact
+    assert abs(rep.integral_f - exact) <= 1e-14 * exact
     assert rep.convergence is None
     assert genus_report(s, make_grid(s, 64, 64)).convergence < 1e-12
     assert main(["--samples", "1000", "import", str(path)]) == 0
@@ -240,16 +247,34 @@ def test_periodic_import_reports_no_convergence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("surface", [FlatTorus(0.55), clifford_torus()], ids=["a=0.55", "clifford"])
-@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("n", [17, 32, 64])
 def test_library_and_cli_agree_on_imported_grid(tmp_path, capsys, surface, n):
-    # sum_bound is a Heintze-Karcher equality on flat tori, so finite-difference
-    # error alone fails it at CHAIN_TOL; the GridSurface floor applies to both paths.
+    # sum_bound is a Heintze-Karcher equality on flat tori: an imported torus, odd n
+    # included, holds it at CHAIN_TOL, the tolerance of every catalog certificate.
     path, gs = _round_trip(tmp_path, surface, n, n)
-    cert = verify_sum_inequality(gs, gs.natural_grid())
+    cert = verify_sum_inequality(gs, gs.natural_grid(), tol=CHAIN_TOL)
     assert cert.checks["sum_bound"] and cert.passed
-    assert GridSurface.tol_floor > CHAIN_TOL
-    assert main(["--samples", "0", "import", str(path)]) == 0
+    assert main(["--samples", "0", "--tol", repr(CHAIN_TOL), "import", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["checks"] == cert.checks
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_imported_flat_torus_sum_bound_catches_a_small_error(tmp_path, monkeypatch, n):
+    # A Heintze-Karcher bound 1e-5 too small must fail the flat torus's equality.
+    path, gs = _round_trip(tmp_path, FlatTorus(0.55), n, n)
+    assert verify_sum_inequality(gs, gs.natural_grid()).checks["sum_bound"]
+    hk = quadrature.hk_time_integral
+    monkeypatch.setattr(quadrature, "hk_time_integral", lambda k1, k2: (1.0 - 1e-5) * hk(k1, k2))
+    assert not verify_sum_inequality(gs, gs.natural_grid()).checks["sum_bound"]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_clifford_import_is_an_equality(tmp_path, capsys, n):
+    # 4 pi^2 g = integral of f(|Aring|) on the Clifford torus, to rounding, at any n.
+    path, gs = _round_trip(tmp_path, clifford_torus(), n, n)
+    assert abs(genus_report(gs, gs.natural_grid()).slack) <= 1e-12
+    assert main(["--samples", "0", "--tol", "1e-12", "import", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["theorem2"]
 
 
 @pytest.mark.parametrize("row, col, text", [(0, 2, "nan"), (37, 5, "inf"), (1023, 0, "-inf"),
@@ -304,6 +329,20 @@ def test_missing_metadata_rejected(tmp_path):
     path.write_text("\n".join(lines[1:]) + "\n")
     with pytest.raises(FormatError):
         import_surface(path)
+
+
+@pytest.mark.parametrize("keep, message", [(0, "missing metadata comment line"),
+                                           (1, "missing metadata comment line"),
+                                           (2, "no data rows follow the header")],
+                         ids=["empty", "header-only", "no-rows"])
+def test_file_without_data_rows_rejected(tmp_path, capsys, keep, message):
+    path, _ = _round_trip(tmp_path, clifford_torus(), 16, 16)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(ln + "\n" for ln in lines[2 - keep:2]))
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        import_surface(path)
+    assert main(["import", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("domain", ["[0.0]", "[0.0,1.0,2.0]", "[1.0,0.0]", "[0.0,inf]", "[nan,1.0]"])
@@ -381,7 +420,7 @@ def test_nonuniform_spacing_rejected(tmp_path):
     (GeodesicSphere(1.0), "domain_v=[0.0,3.141592653589793]", "domain_v=[0.0,3.0]", 0),
 ], ids=["torus-domain-u-doubled", "torus-last-u-row-deleted", "sphere-wrong-domain-v"])
 def test_nodes_that_do_not_tile_their_domain_rejected(tmp_path, surface, old, new, dropped_rows):
-    # natural_grid weighs nodes by domain/n, the FD partials by the node spacing: the
+    # natural_grid weighs nodes by domain/n, the partials by the node spacing: the
     # doubled torus domain would certify twice the area, the missing row a chi of 0.074.
     path, _ = _round_trip(tmp_path, surface, 32, 32)
     lines = path.read_text().splitlines()
@@ -487,15 +526,19 @@ def test_fuzzed_grid_file_fails_cleanly(fuzz_files, case):
 # Finite-difference accuracy of the reconstruction
 # ---------------------------------------------------------------------------
 
-def test_fd_derivative_order(tmp_path):
-    # Halving h on a smooth surface should shrink the slack fast (6th-order
-    # interior stencils); just confirm clear improvement.
-    slacks = []
-    for n in (32, 64):
-        _, gs = _round_trip(tmp_path, clifford_torus(), n, n, name=f"g{n}.csv")
-        rep = genus_report(gs, gs.natural_grid())
-        slacks.append(abs(rep.slack))
-    assert slacks[1] < slacks[0] / 4.0
+def test_fd_derivative_order():
+    # The stencil of a non-periodic axis is 6th order: halving h shrinks its interior
+    # error on a smooth non-polynomial function at least 32x (a 4th-order one gives 16x).
+    for order in (1, 2):
+        errors = []
+        for n in (33, 65):
+            x = np.linspace(0.0, 2.0, n)
+            f = np.exp(np.sin(3.0 * x))
+            exact = (3.0 * np.cos(3.0 * x) * f if order == 1
+                     else 9.0 * (np.cos(3.0 * x) ** 2 - np.sin(3.0 * x)) * f)
+            got = _derivative(np.stack([f, -f]), 1, x[1] - x[0], order, False)
+            errors.append(np.max(np.abs(got - [exact, -exact])[:, 3:-3]))
+        assert errors[1] < errors[0] / 32.0
 
 
 def test_grid_surface_is_a_surface(tmp_path):
