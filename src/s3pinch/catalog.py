@@ -39,9 +39,8 @@ class Surface:
     domain_v: tuple[float, float] = (0.0, TWO_PI)
     periodic_u: bool = True
     periodic_v: bool = True
-    # True when the surface is known only at its sample nodes, so a coarser
-    # grid re-reads the same samples and cannot measure discretisation error,
-    # and it has no side classifier: verify_sum_inequality then skips MC.
+    # True when the surface is known only at its samples, with no side classifier:
+    # verify_sum_inequality then skips MC.
     sampled: bool = False
 
     # Closed-form data, None when unavailable.

@@ -1,10 +1,8 @@
 """Surface integrals, Gauss-Bonnet genus detection, and the reports built on them.
 
-Periodic parameter directions use the equispaced trapezoidal rule (spectrally
-accurate for smooth periodic integrands); non-periodic directions use
-composite Gauss-Legendre panels, which keeps nodes strictly inside open
-intervals such as the polar range (0, pi) of a sphere chart.
-"""
+A grid is its two line rules (`_line_rule`): trapezoidal if periodic, Fejer's second rule
+if polar. Both nest, so the half-resolution rule, whose integral of f(|Aring|) is the
+convergence probe, reads every other node of the grid and no other node."""
 
 from __future__ import annotations
 
@@ -25,7 +23,6 @@ GAP_THRESHOLD = 3.0 * SQRT2 * math.pi ** 2
 EULER_ROUNDING_TOL = 0.01
 MINIMAL_H_TOL = 1e-6
 DEFAULT_RESOLUTION = 64
-GL_PANEL_SIZE = 8
 MAX_SWEEP_STEPS = 10 ** 4
 # Nodes evaluated per step of a grid reduction, so memory does not grow with
 # the resolution and the temporaries stay small enough to be reused.
@@ -34,13 +31,15 @@ NODE_TILE = 2 ** 13
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor-product quadrature over the parameter rectangle: the node at
-    (nodes_u[i], nodes_v[j]) has weight weights_u[i] * weights_v[j]."""
+    """Tensor-product rule: node (nodes_u[i], nodes_v[j]) weighs weights_u[i] * weights_v[j],
+    and half_u[i] * half_v[j] in the nested half rule (`make_grid`) if the grid has one."""
 
     nodes_u: np.ndarray
     nodes_v: np.ndarray
     weights_u: np.ndarray
     weights_v: np.ndarray
+    half_u: np.ndarray | None = None
+    half_v: np.ndarray | None = None
 
     @property
     def resolution(self) -> tuple[int, int]:
@@ -48,30 +47,35 @@ class QuadratureGrid:
 
 
 def _line_rule(lo: float, hi: float, n: int, periodic: bool):
-    length = hi - lo
+    """n cells of width h = (hi - lo)/n: the trapezoidal rule on their left ends if periodic,
+    else the direction is polar (the chart collapses to a point at lo and at hi) and Fejer's
+    second rule in cos(theta), theta = pi (x - lo)/(hi - lo), on the n - 1 interior ends is
+    exact for sin(k theta), k < n (Trefethen 2008). Its weights do not sum to hi - lo; they
+    are (4h/pi) sum over odd k < n of sin(k theta)/k, one FFT (Waldvogel 2006)."""
+    h = (hi - lo) / n
     if periodic:
-        h = length / n
-        nodes = lo + h * np.arange(n)
-        return nodes, np.full(n, h)
-    # Composite Gauss-Legendre panels.
-    panel = GL_PANEL_SIZE if n % GL_PANEL_SIZE == 0 and n >= GL_PANEL_SIZE else n
-    npanels = n // panel
-    x, w = np.polynomial.legendre.leggauss(panel)
-    edges = lo + length * np.arange(npanels + 1) / npanels
-    half = (edges[1:] - edges[:-1]) / 2.0
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+        return lo + h * np.arange(n), np.full(n, h)
+    coef = np.zeros(2 * n)
+    coef[1:n:2] = 1.0 / np.arange(1, n, 2)
+    sines = -np.fft.rfft(coef)[1:n].imag  # sum over k of coef[k] sin(pi k j/n), j = 1 .. n-1
+    return lo + h * np.arange(1, n), (4.0 * h / np.pi) * sines
+
+
+def _half_rule(lo: float, hi: float, n: int, periodic: bool) -> np.ndarray:
+    """The n/2-cell rule's weights on the n-cell rule's nodes: 0 off its even cell ends."""
+    weights = np.zeros(n if periodic else n - 1)
+    weights[0 if periodic else 1::2] = _line_rule(lo, hi, n // 2, periodic)[1]
+    return weights
 
 
 def make_grid(surface: Surface, nu: int, nv: int) -> QuadratureGrid:
-    """Quadrature grid adapted to the surface's domain and periodicity."""
+    """nu x nv cells on the surface's domain; the half rule nests if both are even and >= 16."""
     if nu < 4 or nv < 4:
         raise ValueError("resolution too small")
-    xu, wu = _line_rule(*surface.domain_u, nu, surface.periodic_u)
-    xv, wv = _line_rule(*surface.domain_v, nv, surface.periodic_v)
-    return QuadratureGrid(xu, xv, wu, wv)
+    lines = (*surface.domain_u, nu, surface.periodic_u), (*surface.domain_v, nv, surface.periodic_v)
+    (xu, wu), (xv, wv) = (_line_rule(*line) for line in lines)
+    nested = min(nu, nv) >= 16 and nu % 2 == nv % 2 == 0
+    return QuadratureGrid(xu, xv, wu, wv, *(_half_rule(*line) for line in lines if nested))
 
 
 def _node_data(surface: Surface, grid: QuadratureGrid, rows=slice(None)):
@@ -96,6 +100,7 @@ class NodeSums:
     focal_min: tuple[float, float]     # focal time acot(k2) per side
     focal_max: tuple[float, float]
     max_H: float                       # max |H|
+    convergence: float | None          # relative change of integral_f under the half rule
 
 
 def node_sums(surface: Surface, grid: QuadratureGrid) -> NodeSums:
@@ -105,20 +110,24 @@ def node_sums(surface: Surface, grid: QuadratureGrid) -> NodeSums:
     nu, nv = grid.resolution
     step = max(1, NODE_TILE // nv)
     sums = np.zeros(8)
-    lo, hi, max_H = np.full(2, np.inf), np.full(2, -np.inf), 0.0
+    lo, hi, max_H, half_f = np.full(2, np.inf), np.full(2, -np.inf), 0.0, 0.0
     for start in range(0, nu, step):
-        cd, w = _node_data(surface, grid, slice(start, start + step))
-        k1, k2, t = cd.k1, cd.k2, cd.traceless_norm
+        rows = slice(start, start + step)
+        cd, w = _node_data(surface, grid, rows)
+        k1, k2, t, f = cd.k1, cd.k2, cd.traceless_norm, f_pinch(cd.traceless_norm)
         sums += [np.sum(w * x) for x in (
-            1.0, cd.gauss_K, f_pinch(t), t ** 3, (k1 ** 2 + k2 ** 2) ** 1.5,
+            1.0, cd.gauss_K, f, t ** 3, (k1 ** 2 + k2 ** 2) ** 1.5,
             hk_time_integral(k1, k2), hk_time_integral(-k2, -k1), prop1_integrand(k1, k2))]
+        if grid.half_u is not None:
+            half_f += np.sum(grid.half_u[rows, None] * grid.half_v * cd.area_element * f)
         focal = acot(k2), acot(-k1)
-        lo = np.minimum(lo, [np.min(f) for f in focal])
-        hi = np.maximum(hi, [np.max(f) for f in focal])
+        lo = np.minimum(lo, [np.min(x) for x in focal])
+        hi = np.maximum(hi, [np.max(x) for x in focal])
         max_H = max(max_H, float(np.max(np.abs(cd.H))))
     area, total_K, int_f, int_A3, abs_A3, hk1, hk2, prop1 = map(float, sums)
     return NodeSums(area, total_K, int_f, int_A3, abs_A3, (hk1, hk2), prop1,
-                    tuple(map(float, lo)), tuple(map(float, hi)), max_H)
+                    tuple(map(float, lo)), tuple(map(float, hi)), max_H,
+                    None if grid.half_u is None else abs(int_f - float(half_f)) / (1.0 + abs(int_f)))
 
 
 @dataclass(frozen=True)
@@ -136,8 +145,7 @@ class GenusReport:
     slack: float
     cubic_lhs: float        # 2 pi^2 genus
     cubic_rhs: float        # (sqrt(2)/3) integral of |Aring|^3
-    convergence: float | None   # relative change of integral_f under grid halving (None
-                                # below 16 nodes, or if sampled: halving re-reads its samples)
+    convergence: float | None   # relative change of integral_f under the grid's nested half rule
     resolution: tuple[int, int]
     # Gap-theorem certificate, populated when max |H| <= MINIMAL_H_TOL only.
     gap_integral: float | None = None   # integral of |A|^3
@@ -172,13 +180,6 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
     """
     sums = node_sums(surface, grid) if nodes is None else nodes
     genus = _genus(sums)
-
-    convergence = None
-    nu, nv = grid.resolution
-    if nu >= 16 and nv >= 16 and not surface.sampled:
-        coarse_f = node_sums(surface, make_grid(surface, nu // 2, nv // 2)).integral_f
-        convergence = abs(sums.integral_f - coarse_f) / (1.0 + abs(sums.integral_f))
-
     bound_lhs = FOUR_PI_SQ * genus
     gap = sums.integral_absA3 if _is_minimal(sums) else None
     return GenusReport(
@@ -186,7 +187,7 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
         integral_f=sums.integral_f, integral_A3=sums.integral_A3,
         bound_lhs=bound_lhs, bound_rhs=sums.integral_f, slack=sums.integral_f - bound_lhs,
         cubic_lhs=2.0 * math.pi ** 2 * genus, cubic_rhs=SQRT2 / 3.0 * sums.integral_A3,
-        convergence=convergence, resolution=(nu, nv),
+        convergence=sums.convergence, resolution=grid.resolution,
         gap_integral=gap, gap_below=None if gap is None else _below_gap(gap),
     )
 
@@ -199,6 +200,7 @@ class GapReport:
     threshold: float
     below_threshold: bool
     certificate: str
+    convergence: float | None   # as in GenusReport
 
 
 def gap_report(surface: Surface, grid: QuadratureGrid) -> GapReport:
@@ -208,7 +210,8 @@ def gap_report(surface: Surface, grid: QuadratureGrid) -> GapReport:
         raise NotMinimal(f"max |H| = {sums.max_H:.3e} > {MINIMAL_H_TOL:g}")
     below = _below_gap(sums.integral_absA3)
     return GapReport(sums.integral_absA3, GAP_THRESHOLD, below,
-                     "below threshold (equator range)" if below else "above threshold")
+                     "below threshold (equator range)" if below else "above threshold",
+                     sums.convergence)
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,7 @@ class EigenReport:
     bounds: dict[str, float]
     holds: dict[str, bool]
     equality_discrepancy: str | None    # set for the Clifford torus only
+    convergence: float | None           # as in GenusReport
 
     @property
     def passed(self) -> bool:
@@ -241,7 +245,7 @@ def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenRep
             "both values reported, equality not asserted"
         )
     holds = {name: at_most(lam_area, bound, tol) for name, bound in bounds.items()}
-    return EigenReport(surface.exact_lambda1, lam_area, bounds, holds, note)
+    return EigenReport(surface.exact_lambda1, lam_area, bounds, holds, note, sums.convergence)
 
 
 def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int) -> list[dict]:

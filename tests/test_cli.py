@@ -269,6 +269,18 @@ def test_eigen_no_spectral_data_exits_2(capsys):
     assert main(["eigen", "torus:a=0.6"]) == 2
 
 
+@pytest.mark.parametrize("command, spec", [
+    ("gap", f"torus:a={SQRT_HALF:.16f}"), ("eigen", "sphere:r=1.0"),
+])
+def test_gap_and_eigen_docs_carry_the_check_convergence(command, spec, capsys):
+    # The same node pass as check's genus_report, so the same figure.
+    code, doc = run_json(capsys, "--resolution", "32", command, spec)
+    assert code == 0
+    _, checked = run_json(capsys, "--resolution", "32", "--samples", "0", "check", spec)
+    assert doc["convergence"] == checked["genus_report"]["convergence"]
+    assert 0.0 <= doc["convergence"] < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # sweep-tori
 # ---------------------------------------------------------------------------
@@ -389,33 +401,35 @@ def test_import_off_sphere_exits_2(capsys, tmp_path):
 # output contract
 # ---------------------------------------------------------------------------
 
-class _CountingTorus(FlatTorus):
-    def __init__(self, a):
-        super().__init__(a)
-        self.nodes = []
+def _counting(cls, *params):
+    """An instance of surface class cls that records every (u, v) node its point is asked for."""
+    class Counting(cls):
+        def point(self, u, v):
+            u, v = np.broadcast_arrays(u, v)
+            self.nodes += zip(u.ravel().tolist(), v.ravel().tolist())
+            return super().point(u, v)
 
-    def point(self, u, v):
-        u, v = np.broadcast_arrays(u, v)
-        self.nodes += zip(u.ravel().tolist(), v.ravel().tolist())
-        return super().point(u, v)
+    surface = Counting(*params)
+    surface.nodes = []
+    return surface
 
 
-def test_check_evaluates_fine_and_coarse_grid_once(capsys, monkeypatch):
-    # Tiles of 160 nodes (5 rows of the 32x32 grid, 10 of its 16x16
-    # convergence grid), so neither grid fits in one call; every node of
-    # both is still evaluated exactly once.
+@pytest.mark.parametrize("cls, params, spec", [
+    (FlatTorus, (0.6,), "torus:a=0.6"), (GeodesicSphere, (1.0,), "sphere:r=1"),
+], ids=["torus", "sphere"])
+def test_check_evaluates_each_grid_node_once(cls, params, spec, capsys, monkeypatch):
+    # Tiles of 160 nodes (5 rows of 32), so the grid does not fit in one call; every
+    # node of the one grid is still evaluated exactly once, and no other node is: the
+    # convergence probe reads the nested half rule's nodes off the same pass.
     monkeypatch.setattr(quadrature, "NODE_TILE", 5 * 32)
-    surface = _CountingTorus(0.6)
+    surface = _counting(cls, *params)
     monkeypatch.setattr(catalog, "parse_surface", lambda spec: surface)
-    code, doc = run_json(capsys, "--resolution", "32", "--samples", "1000",
-                         "check", "torus:a=0.6")
+    code, doc = run_json(capsys, "--resolution", "32", "--samples", "1000", "check", spec)
     assert code == 0 and doc["pass"]
-    expected = []
-    for n in (32, 16):
-        grid = quadrature.make_grid(surface, n, n)
-        U, V = np.meshgrid(grid.nodes_u, grid.nodes_v, indexing="ij")
-        expected += zip(U.ravel().tolist(), V.ravel().tolist())
-    assert sorted(surface.nodes) == sorted(expected)
+    assert doc["genus_report"]["convergence"] is not None
+    grid = quadrature.make_grid(surface, 32, 32)
+    U, V = np.meshgrid(grid.nodes_u, grid.nodes_v, indexing="ij")
+    assert sorted(surface.nodes) == sorted(zip(U.ravel().tolist(), V.ravel().tolist()))
 
 
 def test_check_memory_does_not_grow_with_resolution():

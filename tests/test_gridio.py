@@ -225,8 +225,8 @@ def test_periodic_derivative_is_exact_on_trig_polynomials(n, order):
 
 
 def test_sphere_chart_import_has_no_coarse_probe(tmp_path):
-    # Gauss-Legendre coarse nodes miss the cell-centre samples of a sphere
-    # chart, so the convergence probe is skipped rather than failed.
+    # An import's natural grid nests no half rule (a sphere chart's cell-centre
+    # samples are not the polar rule's nodes), so no convergence is reported.
     _, gs = _round_trip(tmp_path, GeodesicSphere(1.0), 32, 32)
     assert genus_report(gs, gs.natural_grid()).convergence is None
 

@@ -24,12 +24,52 @@ def integrate(surface, field, grid):
 
 
 def test_weights_sum_to_domain_measure():
-    for surface in (clifford_torus(), GeodesicSphere(1.0)):
-        grid = make_grid(surface, 64, 64)
-        measure = (surface.domain_u[1] - surface.domain_u[0]) * \
-                  (surface.domain_v[1] - surface.domain_v[0])
-        total = np.sum(grid.weights_u) * np.sum(grid.weights_v)
-        assert total == pytest.approx(measure, abs=1e-12 * measure)
+    grid = make_grid(clifford_torus(), 64, 64)
+    total = np.sum(grid.weights_u) * np.sum(grid.weights_v)
+    assert total == pytest.approx(4 * PI ** 2, abs=1e-12 * 4 * PI ** 2)
+    # A polar direction's weights integrate sin(v) times a smooth function, so they
+    # do not sum to the interval's length; against sin(v) they give its integral, 2.
+    grid = make_grid(GeodesicSphere(1.0), 64, 64)
+    assert np.sum(grid.weights_u) == pytest.approx(2 * PI, abs=1e-14)
+    assert np.sum(grid.weights_v * np.sin(grid.nodes_v)) == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [16, 64, 2048])
+def test_half_rule_nests_bit_for_bit(n):
+    # The n/2-cell rule's nodes are the grid's even cell ends, bit for bit, and the
+    # grid stores that rule's weights on them and 0 on every other node.
+    sphere = GeodesicSphere(1.0)
+    grid = make_grid(sphere, n, n)
+    for nodes, stored, domain, periodic in ((grid.nodes_u, grid.half_u, sphere.domain_u, True),
+                                            (grid.nodes_v, grid.half_v, sphere.domain_v, False)):
+        half_nodes, half_weights = quadrature._line_rule(*domain, n // 2, periodic)
+        on = np.zeros(len(nodes), dtype=bool)
+        on[0 if periodic else 1::2] = True
+        assert np.array_equal(nodes[on], half_nodes)
+        assert np.array_equal(stored[on], half_weights) and not np.any(stored[~on])
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 17, 64])
+def test_polar_rule_integrates_every_resolved_sine_exactly(n):
+    # Fejer's second rule in cos(theta) is exact for sin(k theta), 1 <= k < n.
+    nodes, weights = quadrature._line_rule(0.0, PI, n, False)
+    assert len(nodes) == n - 1 and np.all((0.0 < nodes) & (nodes < PI))
+    for k in range(1, n):
+        exact = 2.0 / k if k % 2 else 0.0
+        assert abs(np.sum(weights * np.sin(k * nodes)) - exact) <= 1e-14, k
+    lo, hi = -0.3, 2.9  # theta = pi (x - lo)/(hi - lo) on any interval
+    nodes, weights = quadrature._line_rule(lo, hi, n, False)
+    got = np.sum(weights * np.sin(PI * (nodes - lo) / (hi - lo)))
+    assert got == pytest.approx(2.0 * (hi - lo) / PI, abs=1e-14)
+
+
+def test_sphere_chart_reports_convergence_from_16_cells():
+    # 16 cells per direction are 15 polar nodes: the half rule still nests.
+    for surface in (GeodesicSphere(1.0), PerturbedSphere(1.2, 0.1, 3, 2)):
+        rep = genus_report(surface, make_grid(surface, 16, 16))
+        assert rep.resolution == (16, 15) and rep.convergence is not None
+        assert genus_report(surface, make_grid(surface, 8, 8)).convergence is None
+    assert rep.convergence > 1e-8  # the perturbed sphere's probe measures a real change
 
 
 def test_periodic_nodes_exclude_duplicate_endpoint():
@@ -156,21 +196,6 @@ def test_genus_detection_failure_on_tight_tolerance(monkeypatch):
         genus_report(surface, grid)
 
 
-class _CoarseDegenerateTorus(FlatTorus):
-    """Evaluates normally at 32x32 and fails the metric check on coarser grids."""
-
-    def point(self, u, v):
-        if np.shape(u)[0] < 32:
-            raise DegenerateMetric("degenerate on the coarse grid")
-        return super().point(u, v)
-
-
-def test_coarse_probe_failure_propagates():
-    surface = _CoarseDegenerateTorus(0.6)
-    with pytest.raises(DegenerateMetric):
-        genus_report(surface, make_grid(surface, 32, 32))
-
-
 def test_gap_report_matches_report_and_rejects_non_minimal():
     surface = clifford_torus()
     grid = make_grid(surface, 32, 32)
@@ -205,7 +230,7 @@ def test_grid_reduction_memory_does_not_grow_with_resolution():
 
 
 def test_sweep_and_eigen_read_each_grid_once(monkeypatch):
-    # Neither prints a convergence figure, so neither evaluates the half-resolution grid.
+    # One node pass per report: the convergence probe is read off the same nodes.
     calls, node_sums = [], quadrature.node_sums
     monkeypatch.setattr(quadrature, "node_sums",
                         lambda s, g: (calls.append(g.resolution), node_sums(s, g))[1])
@@ -214,7 +239,7 @@ def test_sweep_and_eigen_read_each_grid_once(monkeypatch):
     calls.clear()
     sphere = GeodesicSphere(1.0)
     eigen_report(sphere, make_grid(sphere, 32, 32), 1e-8)
-    assert calls == [(32, 32)]
+    assert calls == [(32, 31)]
 
 
 def test_eigen_report_rejects_a_planted_lambda1_above_the_bound():
