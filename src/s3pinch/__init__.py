@@ -2,8 +2,8 @@
 
 from .errors import (
     BracketFailure, DegenerateMetric, DomainError, FormatError, GenusDetectionFailure,
-    ImmersionFailure, NoSpectralData, NotMinimal, NumericalFailure, OffSampleGrid, OffSphere,
-    ResolutionTooCoarse, S3PinchError,
+    NoSpectralData, NotMinimal, NumericalFailure, OffSampleGrid, OffSphere, ResolutionTooCoarse,
+    S3PinchError,
 )
 from .geometry import (
     CurvatureData, SurfacePoint, cross4, curvature_at, tangent_normal_frame,

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ImmersionFailure
-from .geometry import DEGENERACY_RTOL, SurfacePoint, dot, first_fundamental_form
+from .errors import DomainError
+from .geometry import SurfacePoint, dot
 from .pinch import S3_VOLUME, SQRT2
 
 TWO_PI = 2.0 * math.pi
@@ -27,8 +27,10 @@ _EPS_CAP = 0.3
 _MINIMAL_TOL = 1e-9
 # Largest spherical-harmonic degree: (l + |m|)! <= 170! is still a finite double.
 _L_MAX = 85
-# Nodes per direction of the grid a PerturbedSphere is checked to be an immersion on.
-_IMMERSION_PROBE = 24
+# Nodes per direction of the grid on which a PerturbedSphere's radius is checked to lie in
+# (0, pi). Where it does, EG - F^2 = sin^2 rho (rho_phi^2 + sin^2 theta (rho_theta^2 +
+# sin^2 rho)) > 0 off the poles, so the chart is an immersion by construction.
+_RADIUS_PROBE = 24
 
 
 class Surface:
@@ -172,7 +174,11 @@ class PerturbedSphere(Surface):
         q = np.polynomial.legendre.Legendre.basis(self.l).deriv(a)
         self._legendre = (q, q.deriv(), q.deriv(2))
 
-        self._check_immersion()
+        n = _RADIUS_PROBE
+        rho = self._rho(np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None],
+                        np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n))
+        if not np.all((rho > 0.0) & (rho < math.pi)):  # NaN included
+            raise DomainError("perturbed radius leaves (0, pi); reduce eps")
 
     def _rho(self, phi, theta, partials=False):
         """rho, or with partials=True the tuple of rho and its partials along
@@ -198,19 +204,6 @@ class PerturbedSphere(Surface):
         g_pp = -a * a * g
         return (rho, k * f * g_p, k * f_t * g,
                 k * f * g_pp, k * f_t * g_p, k * f_tt * g)
-
-    def _check_immersion(self) -> None:
-        n = _IMMERSION_PROBE
-        uu = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        vv = np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n)
-        U, V = uu[:, None], vv[None, :]
-        rho = self._rho(U, V)
-        if not np.all((rho > 0.0) & (rho < math.pi)):  # NaN included
-            raise DomainError("perturbed radius leaves (0, pi); reduce eps")
-        E, F, G = first_fundamental_form(self.point(U, V))
-        det = E * G - F * F
-        if np.any(det <= DEGENERACY_RTOL * E * G):
-            raise ImmersionFailure("EG - F^2 degenerates at a probe node; reduce eps")
 
     def point(self, u, v) -> SurfacePoint:
         # Chain rule through pos = sin(rho) * d + cos(rho) * e4, where d is the

@@ -33,10 +33,6 @@ class NoSpectralData(S3PinchError):
     """Surface has no closed-form first Laplace eigenvalue."""
 
 
-class ImmersionFailure(NumericalFailure):
-    """Parametrization fails to be an immersion at some probe node."""
-
-
 class FormatError(S3PinchError):
     """Malformed surface grid file."""
 

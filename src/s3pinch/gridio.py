@@ -6,14 +6,15 @@ File format: UTF-8 CSV with a leading comment line
 
 followed by the header ``u,v,x1,x2,x3,x4`` and rows in row-major order over a
 uniform (Nu x Nv) parameter grid whose n nodes per direction, spaced h apart, tile
-that direction's domain [lo, hi]: a periodic direction excludes the duplicate
-endpoint (n*h = hi - lo); a non-periodic one holds either both endpoints
-((n-1)*h = hi - lo, first node lo) or the cell centres that export writes
-(n*h = hi - lo, first node lo + h/2).
+that direction's domain [lo, hi] (n*h = hi - lo): from lo if the direction is
+periodic, else at the cell centres export writes, from lo + h/2.
 
-Imported surfaces get their partials from the samples alone, so they are usable
-only at their own nodes: spectral along a periodic direction, 6th-order
-finite-difference stencils along a non-periodic one.
+A non-periodic direction is polar, as in `quadrature`: the chart collapses to a
+point at lo and at hi, about which the other, periodic direction turns. Imported
+surfaces get their partials from the samples alone, so they are usable only at
+their own nodes. Every direction is differentiated spectrally, a polar one once
+it is continued across both poles into a periodic line, and weighted by
+Fejer's first rule.
 """
 
 from __future__ import annotations
@@ -26,56 +27,49 @@ import numpy as np
 from .catalog import Surface
 from .errors import FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse
 from .geometry import SurfacePoint
-from .quadrature import NODE_TILE, QuadratureGrid
+from .quadrature import NODE_TILE, QuadratureGrid, _polar_weights
 
 ON_SPHERE_TOL = 1e-6
 SPACING_RTOL = 1e-9  # node spacing, and a domain's tiling, relative to its own size
 MIN_PERIODIC_RESOLUTION = 16
-_STENCIL = 7  # 6th-order accuracy
 
 
-def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order on integer offsets."""
-    n = len(offsets)
-    V = np.vander(offsets, n, increasing=True).T  # V[k, j] = offsets[j]^k
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(V, rhs)
-
-
-def _derivative(values: np.ndarray, axis: int, h: float, order: int,
-                periodic: bool) -> np.ndarray:
-    """d^order/dx^order along one axis: spectral on a periodic axis, exact for every Fourier
-    mode its n samples resolve (Trefethen 2000, ch. 3); else a 7-point stencil, centred on
-    every interior node and one-sided on the 3 + 3 boundary rows (Fornberg 1988)."""
+def _derivative(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+    """d^order/dx^order along a periodic axis of nodes spaced h, through its discrete Fourier
+    series: exact for every Fourier mode its n samples resolve (Trefethen 2000, ch. 3)."""
     vals = np.moveaxis(values, axis, 0)
     n = len(vals)
-    if periodic:
-        ik = 2j * np.pi * np.fft.rfftfreq(n, h)  # period n*h
-        spectrum = (np.fft.rfft(vals, axis=0).T * ik ** order).T  # .T: broadcast along axis 0
-        # irfft reads an even n's Nyquist term as real, dropping its odd derivatives (0 at nodes)
-        return np.moveaxis(np.fft.irfft(spectrum, n, axis=0), 0, axis)
-    half = _STENCIL // 2
-    w = _fd_weights(np.arange(-half, half + 1), order)
-    res = np.empty_like(vals)
-    inner = res[half:n - half]
-    np.multiply(w[0], vals[:len(inner)], out=inner)
-    for k in range(1, _STENCIL):
-        inner += w[k] * vals[k:k + len(inner)]
-    for i in (*range(half), *range(n - half, n)):
-        start = min(max(i - half, 0), n - _STENCIL)
-        wb = _fd_weights(np.arange(start, start + _STENCIL) - i, order)
-        res[i] = np.tensordot(wb, vals[start:start + _STENCIL], axes=(0, 0))
-    return np.moveaxis(res, 0, axis) / h ** order
+    ik = 2j * np.pi * np.fft.rfftfreq(n, h)  # period n*h
+    spectrum = (np.fft.rfft(vals, axis=0).T * ik ** order).T  # .T: broadcast along axis 0
+    # irfft reads an even n's Nyquist term as real, dropping its odd derivatives (0 at nodes)
+    return np.moveaxis(np.fft.irfft(spectrum, n, axis=0), 0, axis)
+
+
+def _polar_derivative(x: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
+    """d^order/dx^order along the polar axis of one component's 2-D samples, whose other axis
+    is periodic. Across a pole x(-s, u) = x(s, u + half turn), so the n cell-centre samples,
+    then the same reversed and half-turned, are a periodic line of 2n nodes (the double
+    Fourier sphere; Townsend, Wilber & Wright 2016); the partial is the first n values of
+    its derivative. The half turn multiplies Fourier mode m by (-1)^m, exact for every mode
+    the samples resolve, for an odd node count too."""
+    x = np.moveaxis(x, axis, 1)
+    turn = (-1.0) ** np.arange(len(x) // 2 + 1)[:, None]
+    turned = np.fft.irfft(np.fft.rfft(x, axis=0) * turn, len(x), axis=0)
+    line = np.concatenate([x, turned[:, ::-1]], axis=1)
+    return np.moveaxis(_derivative(line, 1, h, order)[:, :x.shape[1]], 1, axis)
 
 
 def _check_resolution(nu: int, nv: int, periodic_u: bool, periodic_v: bool) -> None:
-    """ResolutionTooCoarse unless each direction has the nodes its partials need."""
-    for n, periodic in ((nu, periodic_u), (nv, periodic_v)):
-        if n < (MIN_PERIODIC_RESOLUTION if periodic else _STENCIL):
-            raise ResolutionTooCoarse(
-                f"need >= {MIN_PERIODIC_RESOLUTION} nodes per periodic direction and >= "
-                f"{_STENCIL} per non-periodic direction ({_STENCIL}-point stencil), got {nu}x{nv}")
+    """FormatError unless some direction is periodic, for a polar one to turn about; then
+    ResolutionTooCoarse unless each direction has the nodes its partials need. A polar
+    direction's continued line has twice its nodes, so it needs half the periodic floor."""
+    if not (periodic_u or periodic_v):
+        raise FormatError("no periodic direction: a non-periodic direction must be polar, "
+                          "with the other direction periodic")
+    if min(nu if periodic_u else 2 * nu, nv if periodic_v else 2 * nv) < MIN_PERIODIC_RESOLUTION:
+        raise ResolutionTooCoarse(
+            f"need >= {MIN_PERIODIC_RESOLUTION} nodes per periodic direction and >= "
+            f"{MIN_PERIODIC_RESOLUTION // 2} per polar (non-periodic) direction, got {nu}x{nv}")
 
 
 class GridSurface(Surface):
@@ -97,12 +91,21 @@ class GridSurface(Surface):
         self.periodic_v = periodic_v
         self.name = name
 
-        hu = self.nodes_u[1] - self.nodes_u[0]
-        hv = self.nodes_v[1] - self.nodes_v[0]
-        du = _derivative(X, 1, hu, 1, periodic_u)
-        self._fields = (X, du, _derivative(X, 2, hv, 1, periodic_v),
-                        _derivative(X, 1, hu, 2, periodic_u), _derivative(du, 2, hv, 1, periodic_v),
-                        _derivative(X, 2, hv, 2, periodic_v))
+        axes = ((self.nodes_u[1] - self.nodes_u[0], periodic_u),
+                (self.nodes_v[1] - self.nodes_v[0], periodic_v))
+
+        def partial(values, axis, order):  # along axis 1 (u) or 2 (v) of a (4, Nu, Nv) field
+            h, periodic = axes[axis - 1]
+            if periodic:
+                return _derivative(values, axis, h, order)
+            out = np.empty_like(values)
+            for x, y in zip(values, out):  # a component at a time keeps the peak memory low
+                y[...] = _polar_derivative(x, axis - 1, h, order)
+            return out
+
+        du = partial(X, 1, 1)
+        self._fields = (X, du, partial(X, 2, 1), partial(X, 1, 2), partial(du, 2, 1),
+                        partial(X, 2, 2))
 
     def _indices(self, coords, nodes) -> np.ndarray:
         h = nodes[1] - nodes[0]
@@ -128,22 +131,18 @@ class GridSurface(Surface):
 
 
 def _line_weights(nodes, domain, periodic) -> np.ndarray:
-    """Weights of one direction's uniform nodes: equispaced if periodic, else trapezoid on
-    both endpoints or midpoint on cell centres; FormatError unless the nodes tile so."""
+    """Weights of one direction's uniform nodes: equispaced if periodic, else Fejer's first
+    rule on a polar direction's cell centres; FormatError unless the nodes tile so."""
     (lo, hi), n = domain, len(nodes)
     h = (nodes[-1] - nodes[0]) / (n - 1)
-
-    def close(a, b):
-        return abs(a - b) <= SPACING_RTOL * (hi - lo)
-
-    if not periodic and close((n - 1) * h, hi - lo) and close(nodes[0], lo):
-        w = np.full(n, nodes[1] - nodes[0])
-        w[0] = w[-1] = w[0] / 2.0
-        return w
-    if close(n * h, hi - lo) and (periodic or close(nodes[0], lo + h / 2)):
-        return np.full(n, (hi - lo) / n)
+    tol = SPACING_RTOL * (hi - lo)
+    if abs(n * h - (hi - lo)) <= tol and (periodic or abs(nodes[0] - (lo + h / 2)) <= tol):
+        cell = (hi - lo) / n
+        return np.full(n, cell) if periodic else _polar_weights(cell, n, centres=True)
     raise FormatError(f"{n} nodes from {float(nodes[0])!r} spaced {float(h)!r} do not tile the "
-                      f"{'periodic' if periodic else 'non-periodic'} domain [{lo!r},{hi!r}]")
+                      + (f"periodic domain [{lo!r},{hi!r}]" if periodic else
+                         f"non-periodic domain [{lo!r},{hi!r}] at its cell centres, as a polar "
+                         "direction must"))
 
 
 def export_grid(surface: Surface, nu: int, nv: int, path) -> None:

@@ -50,15 +50,26 @@ def _line_rule(lo: float, hi: float, n: int, periodic: bool):
     """n cells of width h = (hi - lo)/n: the trapezoidal rule on their left ends if periodic,
     else the direction is polar (the chart collapses to a point at lo and at hi) and Fejer's
     second rule in cos(theta), theta = pi (x - lo)/(hi - lo), on the n - 1 interior ends is
-    exact for sin(k theta), k < n (Trefethen 2008). Its weights do not sum to hi - lo; they
-    are (4h/pi) sum over odd k < n of sin(k theta)/k, one FFT (Waldvogel 2006)."""
+    exact for sin(k theta), k < n (Trefethen 2008). Its weights (`_polar_weights`) do not sum
+    to hi - lo."""
     h = (hi - lo) / n
     if periodic:
         return lo + h * np.arange(n), np.full(n, h)
-    coef = np.zeros(2 * n)
-    coef[1:n:2] = 1.0 / np.arange(1, n, 2)
-    sines = -np.fft.rfft(coef)[1:n].imag  # sum over k of coef[k] sin(pi k j/n), j = 1 .. n-1
-    return lo + h * np.arange(1, n), (4.0 * h / np.pi) * sines
+    return lo + h * np.arange(1, n), _polar_weights(h, n, centres=False)
+
+
+def _polar_weights(h: float, n: int, centres: bool) -> np.ndarray:
+    """A polar direction's weights on n cells of width h: (4h/pi) times the sum over odd k <= n
+    of sin(k theta)/k, the k = n term halved, at the n - 1 interior cell ends (Fejer's second
+    rule, where that term is 0 and left out) or at the n cell centres (his first rule, exact
+    for sin(k theta), k <= n). One rfft (Waldvogel 2006) of length 2n, or of length 4n, whose
+    odd outputs are the centres."""
+    k = np.arange(1, n + 1 if centres else n, 2)
+    coef = np.zeros(4 * n if centres else 2 * n)
+    coef[k] = 1.0 / k
+    coef[n] /= 2.0  # the k = n term, if there is one
+    sines = -np.fft.rfft(coef).imag  # sum over k of coef[k] sin(2 pi k j/len(coef))
+    return (4.0 * h / np.pi) * (sines[1::2] if centres else sines[1:n])
 
 
 def _half_rule(lo: float, hi: float, n: int, periodic: bool) -> np.ndarray:

@@ -105,6 +105,12 @@ def test_bad_or_extreme_spec_exits_with_one_line(capsys, spec, code):
         assert captured.err.startswith(f"error: bad surface spec '{spec}': ")
 
 
+def test_perturbed_radius_leaving_0_pi_exits_2(capsys):
+    assert main(["--samples", "0", "check", "psphere:r=0.01,eps=0.3,l=1,m=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "leaves (0, pi)" in err
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -359,17 +365,17 @@ def test_import_bad_file_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("nu, nv, rows", [(32, 32, 1), (32, 5, None)])
 def test_import_too_coarse_exits_2(capsys, tmp_path, nu, nv, rows):
-    # One data row, and a sphere chart below the 7-point stencil: export_grid
-    # refuses nv < 7, so keep the first nv nodes of each u-line of a wider grid.
+    # One data row, and a sphere chart below the polar floor: export_grid refuses
+    # nv < 8, so keep the first nv nodes of each u-line of a wider grid.
     path = tmp_path / "coarse.csv"
-    width = max(nv, 7)
+    width = max(nv, 8)
     export_grid(GeodesicSphere(1.0), nu, width, path)
     lines = path.read_text().splitlines()
     data = [ln for k, ln in enumerate(lines[2:]) if k % width < nv][:rows]
     path.write_text("\n".join(lines[:2] + data) + "\n")
     assert main(["import", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "per non-periodic direction" in err
+    assert err.count("\n") == 1 and "8 per polar (non-periodic) direction" in err
 
 
 def test_import_non_finite_exits_2_with_one_line(capsys, tmp_path):

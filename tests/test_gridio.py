@@ -20,7 +20,7 @@ from s3pinch.errors import (
 from s3pinch.geometry import SurfacePoint
 from s3pinch.gridio import GridSurface, _derivative, export_grid, import_surface
 from s3pinch.pinch import f_pinch
-from s3pinch.quadrature import genus_report, make_grid
+from s3pinch.quadrature import genus_report, make_grid, node_sums
 from s3pinch.tube import CHAIN_TOL, verify_sum_inequality
 
 
@@ -175,33 +175,6 @@ def test_blank_lines_and_spaces_around_commas_import(tmp_path):
         import_surface(path)
 
 
-def _reference_derivative(values, axis, h, order):
-    """The per-row Vandermonde solve the vectorised non-periodic stencil replaced."""
-    vals = np.moveaxis(values, axis, 0)
-    n = len(vals)
-    res = np.empty_like(vals)
-    rhs = np.zeros(7)
-    rhs[order] = math.factorial(order)
-    for i in range(n):
-        start = min(max(i - 3, 0), n - 7)
-        offs = np.arange(start, start + 7) - i
-        w = np.linalg.solve(np.vander(offs, 7, increasing=True).T, rhs)
-        res[i] = np.tensordot(w, vals[i + offs], axes=(0, 0))
-    return np.moveaxis(res, 0, axis) / h ** order
-
-
-@pytest.mark.parametrize("n", [7, 8, 32])
-@pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("periodic", [False])  # a periodic axis: the exactness test below
-def test_derivative_matches_per_row_reference(n, order, periodic):
-    rng = np.random.default_rng(n * 10 + order)
-    for axis, shape in ((0, (n, 5, 4)), (1, (3, n, 4))):
-        values = rng.uniform(-1.0, 1.0, shape)
-        got = _derivative(values, axis, 1.0, order, periodic)
-        ref = _reference_derivative(values, axis, 1.0, order)
-        assert np.max(np.abs(got - ref)) < 1e-13
-
-
 @pytest.mark.parametrize("n", [7, 8, 16, 17, 32])
 @pytest.mark.parametrize("order", [1, 2])
 def test_periodic_derivative_is_exact_on_trig_polynomials(n, order):
@@ -219,7 +192,7 @@ def test_periodic_derivative_is_exact_on_trig_polynomials(n, order):
         exact = (k ** order * (a * np.cos(phase) + b * np.sin(phase))).sum(axis=0)
         along = [-1 if d == axis else 1 for d in range(3)]
         values = np.broadcast_to(f.reshape(along), shape).copy()
-        got = _derivative(values, axis, h, order, True)
+        got = _derivative(values, axis, h, order)
         err = np.abs(got - exact.reshape(along))
         assert np.max(err) <= 1e-12 * np.max(np.abs(exact))
 
@@ -275,6 +248,70 @@ def test_clifford_import_is_an_equality(tmp_path, capsys, n):
     assert abs(genus_report(gs, gs.natural_grid()).slack) <= 1e-12
     assert main(["--samples", "0", "--tol", "1e-12", "import", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["checks"]["theorem2"]
+
+
+@pytest.mark.parametrize("nu, nv", [(16, 16), (17, 16), (64, 64), (256, 256)])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.6])
+def test_sphere_chart_import_is_an_equality(tmp_path, r, nu, nv):
+    # Continued across its poles, the polar direction is differentiated spectrally and
+    # weighted by Fejer's first rule, so the area and the Heintze-Karcher equality
+    # 2 (bound1 + bound2) = 4 pi^2 hold to rounding, an odd u count included.
+    path, gs = _round_trip(tmp_path, GeodesicSphere(r), nu, nv)
+    sums = node_sums(gs, gs.natural_grid())
+    assert abs(sums.area / (4.0 * math.pi * math.sin(r) ** 2) - 1.0) <= 1e-14
+    assert abs(2.0 * sum(sums.hk_upper) - 4.0 * math.pi ** 2) <= 1e-12
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--samples", "0", "--tol", "1e-12", "import", str(path)]) == 0
+
+
+def test_imported_sphere_sum_bound_catches_a_tiny_error(tmp_path, monkeypatch):
+    # A Heintze-Karcher bound 1e-10 too small must fail the sphere's equality at
+    # --tol 1e-12 (an O(h^2) polar rule's upward error hid one 1e-5 too small).
+    _, gs = _round_trip(tmp_path, GeodesicSphere(1.0), 64, 64)
+    assert verify_sum_inequality(gs, gs.natural_grid(), tol=1e-12).checks["sum_bound"]
+    hk = quadrature.hk_time_integral
+    monkeypatch.setattr(quadrature, "hk_time_integral", lambda k1, k2: (1.0 - 1e-10) * hk(k1, k2))
+    assert not verify_sum_inequality(gs, gs.natural_grid(), tol=1e-12).checks["sum_bound"]
+
+
+def _fields(p):
+    return [np.array(np.broadcast_arrays(*x)) for x in vars(p).values()]
+
+
+@pytest.mark.parametrize("surface, nu, nv, tol", [(GeodesicSphere(1.0), 16, 16, 1e-13),
+                                                  (GeodesicSphere(2.6), 17, 16, 1e-13),
+                                                  (PerturbedSphere(1.2, 0.1, 6, 3), 64, 64, 1e-11)])
+def test_polar_partials_match_the_chart(tmp_path, surface, nu, nv, tol):
+    _, gs = _round_trip(tmp_path, surface, nu, nv)
+    u, v = np.meshgrid(gs.nodes_u, gs.nodes_v, indexing="ij")
+    for got, exact in zip(_fields(gs.point(u, v)), _fields(surface.point(u, v))):
+        assert np.max(np.abs(got - exact)) <= tol
+
+
+def test_polar_direction_may_be_u(tmp_path):
+    # The sphere chart with u and v swapped has the swapped partials and the same sums.
+    _, gs = _round_trip(tmp_path, GeodesicSphere(1.0), 17, 16)
+    swapped = GridSurface(gs.nodes_v, gs.nodes_u, gs.positions.transpose(0, 2, 1),
+                          gs.domain_v, gs.domain_u, False, True)
+    u, v = np.meshgrid(gs.nodes_u, gs.nodes_v, indexing="ij")
+    x, xu, xv, xuu, xuv, xvv = _fields(gs.point(u, v))
+    y, yu, yv, yuu, yuv, yvv = (f.transpose(0, 2, 1) for f in _fields(swapped.point(v.T, u.T)))
+    for a, b in ((x, y), (xu, yv), (xv, yu), (xuu, yvv), (xuv, yuv), (xvv, yuu)):
+        assert np.max(np.abs(a - b)) <= 1e-13
+    assert node_sums(swapped, swapped.natural_grid()).area == pytest.approx(
+        node_sums(gs, gs.natural_grid()).area, rel=1e-14)
+
+
+def test_perturbed_sphere_import_matches_the_catalog(tmp_path, capsys):
+    # psphere l=6,m=3 imports at 16^2 (the stencil's chi was 1.96: exit 4), and at 64^2
+    # its integral of f(|Aring|) is within 2e-6 of the catalog's at 512^2.
+    surface = PerturbedSphere(1.2, 0.1, 6, 3)
+    path, _ = _round_trip(tmp_path, surface, 16, 16)
+    assert main(["--samples", "0", "import", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["genus_report"]["genus"] == 0
+    _, gs = _round_trip(tmp_path, surface, 64, 64)
+    ref = node_sums(surface, make_grid(surface, 512, 512)).integral_f
+    assert abs(node_sums(gs, gs.natural_grid()).integral_f / ref - 1.0) <= 2e-6
 
 
 @pytest.mark.parametrize("row, col, text", [(0, 2, "nan"), (37, 5, "inf"), (1023, 0, "-inf"),
@@ -378,8 +415,8 @@ def test_too_coarse_periodic_grid_rejected(tmp_path):
                                              (clifford_torus(), 16, 15),
                                              (GeodesicSphere(1.0), 16, 6)])
 def test_export_refuses_what_import_rejects(tmp_path, surface, nu, nv):
-    # The import floor (16 per periodic, 7 per non-periodic direction) is checked
-    # before the file is opened.
+    # The import floor (16 per periodic, 8 per polar direction) is checked before the
+    # file is opened.
     path = tmp_path / "coarse.csv"
     with pytest.raises(ResolutionTooCoarse, match=f"got {nu}x{nv}"):
         export_grid(surface, nu, nv, path)
@@ -395,12 +432,16 @@ def test_single_row_grid_rejected(tmp_path):
 
 
 def test_too_coarse_non_periodic_grid_rejected(tmp_path):
+    # A polar direction's continued line is a periodic line of twice its nodes, so its
+    # floor is half the periodic one: 8.
     path = tmp_path / "coarse.csv"
-    _reference_export(GeodesicSphere(1.0), 32, 6, path)
-    with pytest.raises(ResolutionTooCoarse, match="7 per non-periodic"):
+    with pytest.raises(ResolutionTooCoarse, match="got 32x7"):
+        export_grid(GeodesicSphere(1.0), 32, 7, path)
+    _reference_export(GeodesicSphere(1.0), 32, 7, path)
+    with pytest.raises(ResolutionTooCoarse, match="8 per polar"):
         import_surface(path)
-    export_grid(GeodesicSphere(1.0), 32, 7, path)
-    assert import_surface(path).positions.shape == (4, 32, 7)
+    export_grid(GeodesicSphere(1.0), 32, 8, path)
+    assert import_surface(path).positions.shape == (4, 32, 8)
 
 
 def test_nonuniform_spacing_rejected(tmp_path):
@@ -433,14 +474,49 @@ def test_nodes_that_do_not_tile_their_domain_rejected(tmp_path, surface, old, ne
         assert main(["--samples", "1000", "import", str(path)]) == 2
 
 
-def test_non_periodic_endpoint_nodes_tile_their_domain(tmp_path):
-    # A torus's v-nodes read as a non-periodic direction that holds both endpoints.
-    path, gs = _round_trip(tmp_path, FlatTorus(0.6), 32, 32)
+def _relabel(path, old, new):
     lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace("periodic_v=true", "periodic_v=false").replace(
-        "domain_v=[0.0,6.283185307179586]", f"domain_v=[0.0,{float(gs.nodes_v[-1])!r}]")
+    for a, b in zip(old, new):
+        assert a in lines[0]
+        lines[0] = lines[0].replace(a, b)
     path.write_text("\n".join(lines) + "\n")
-    assert not import_surface(path).periodic_v
+
+
+def test_non_periodic_endpoint_nodes_tile_their_domain(tmp_path, capsys):
+    # A torus's v-nodes read as a non-periodic direction that holds both endpoints tile
+    # [0, last node], but as an open patch: a non-periodic direction is polar, sampled
+    # at its cell centres.
+    path, gs = _round_trip(tmp_path, FlatTorus(0.6), 32, 32)
+    _relabel(path, ["periodic_v=true", "domain_v=[0.0,6.283185307179586]"],
+             ["periodic_v=false", f"domain_v=[0.0,{float(gs.nodes_v[-1])!r}]"])
+    with pytest.raises(FormatError, match="at its cell centres, as a polar direction must"):
+        import_surface(path)
+    assert main(["--samples", "0", "import", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "polar" in err
+
+
+class _Square(Surface):
+    """A chart with no periodic direction, so neither can be polar."""
+
+    periodic_u = periodic_v = False
+
+    def point(self, u, v):
+        return clifford_torus().point(u, v)
+
+
+def test_grid_without_a_periodic_direction_rejected(tmp_path, capsys):
+    path = tmp_path / "square.csv"
+    with pytest.raises(FormatError, match="no periodic direction"):
+        export_grid(_Square(), 32, 32, path)
+    assert not path.exists()
+    path, _ = _round_trip(tmp_path, GeodesicSphere(1.0), 32, 32)
+    _relabel(path, ["periodic_u=true"], ["periodic_u=false"])
+    with pytest.raises(FormatError, match="no periodic direction"):
+        import_surface(path)
+    assert main(["--samples", "0", "import", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "polar" in err
 
 
 # ---------------------------------------------------------------------------
@@ -520,25 +596,6 @@ def test_fuzzed_grid_file_fails_cleanly(fuzz_files, case):
             code = main(["--samples", "1000", "import", str(path)])
     assert code in (0, 2, 3, 4)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference accuracy of the reconstruction
-# ---------------------------------------------------------------------------
-
-def test_fd_derivative_order():
-    # The stencil of a non-periodic axis is 6th order: halving h shrinks its interior
-    # error on a smooth non-polynomial function at least 32x (a 4th-order one gives 16x).
-    for order in (1, 2):
-        errors = []
-        for n in (33, 65):
-            x = np.linspace(0.0, 2.0, n)
-            f = np.exp(np.sin(3.0 * x))
-            exact = (3.0 * np.cos(3.0 * x) * f if order == 1
-                     else 9.0 * (np.cos(3.0 * x) ** 2 - np.sin(3.0 * x)) * f)
-            got = _derivative(np.stack([f, -f]), 1, x[1] - x[0], order, False)
-            errors.append(np.max(np.abs(got - [exact, -exact])[:, 3:-3]))
-        assert errors[1] < errors[0] / 32.0
 
 
 def test_grid_surface_is_a_surface(tmp_path):

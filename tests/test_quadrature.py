@@ -63,6 +63,18 @@ def test_polar_rule_integrates_every_resolved_sine_exactly(n):
     assert got == pytest.approx(2.0 * (hi - lo) / PI, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [4, 5, 16, 17, 64])
+def test_polar_rule_on_cell_centres_integrates_every_resolved_sine_exactly(n):
+    # Fejer's first rule, on the n cell centres a grid file holds, is exact for
+    # sin(k theta), 1 <= k <= n.
+    h = PI / n
+    nodes = h * (np.arange(n) + 0.5)
+    weights = quadrature._polar_weights(h, n, centres=True)
+    for k in range(1, n + 1):
+        exact = 2.0 / k if k % 2 else 0.0
+        assert abs(np.sum(weights * np.sin(k * nodes)) - exact) <= 1e-14, k
+
+
 def test_sphere_chart_reports_convergence_from_16_cells():
     # 16 cells per direction are 15 polar nodes: the half rule still nests.
     for surface in (GeodesicSphere(1.0), PerturbedSphere(1.2, 0.1, 3, 2)):
