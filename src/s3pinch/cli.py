@@ -50,10 +50,10 @@ def _emit(args, command: str, fields: dict) -> None:
             print(f"{key}: {val}")
 
 
-def _check_surface(surface, grid, args) -> int:
+def _check_surface(surface, grid, args, **fields) -> int:
     cert = tube.verify_sum_inequality(surface, grid, mc_samples=args.samples,
                                       seed=args.seed, tol=args.tol)
-    _emit(args, "check", {"surface": surface.name, **vars(cert), "pass": cert.passed})
+    _emit(args, "check", {"surface": surface.name, **vars(cert), "pass": cert.passed, **fields})
     return EXIT_OK if cert.passed else EXIT_BOUND
 
 
@@ -68,7 +68,8 @@ def _cmd_import(args) -> int:
         surface = gridio.import_surface(args.file)
     except OSError as exc:  # a missing file, a directory, no permission
         return _fail(f"error: cannot read grid file: {exc}", EXIT_USAGE)
-    return _check_surface(surface, surface.natural_grid(), args)
+    grid = surface.natural_grid()  # its own resolution, not --resolution's
+    return _check_surface(surface, grid, args, resolution=grid.resolution)
 
 
 def _cmd_sweep(args) -> int:

@@ -5,16 +5,15 @@ File format: UTF-8 CSV with a leading comment line
     # periodic_u=true periodic_v=true domain_u=[0,6.283185307] domain_v=[0,6.283185307]
 
 followed by the header ``u,v,x1,x2,x3,x4`` and rows in row-major order over a
-uniform (Nu x Nv) parameter grid whose n nodes per direction, spaced h apart, tile
-that direction's domain [lo, hi] (n*h = hi - lo): from lo if the direction is
-periodic, else at the cell centres export writes, from lo + h/2.
+uniform (Nu x Nv) parameter grid, each direction's n nodes where
+``quadrature._line_rule(lo, hi, n, periodic, centres=True)`` places them.
 
 A non-periodic direction is polar, as in `quadrature`: the chart collapses to a
-point at lo and at hi, about which the other, periodic direction turns. Imported
-surfaces get their partials from the samples alone, so they are usable only at
-their own nodes. Every direction is differentiated spectrally, a polar one once
-it is continued across both poles into a periodic line, and weighted by
-Fejer's first rule.
+point at lo and at hi, which its cell-centre nodes leave out, and the other,
+periodic direction turns about them. Imported surfaces get their partials from
+the samples alone, so they are usable only at their own nodes. Every direction
+is differentiated spectrally, a polar one once it is continued across both
+poles into a periodic line, and weighted by Fejer's first rule.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ import numpy as np
 from .catalog import Surface
 from .errors import FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse
 from .geometry import SurfacePoint
-from .quadrature import NODE_TILE, QuadratureGrid, _polar_weights
+from .quadrature import NODE_TILE, QuadratureGrid, _line_rule
 
 ON_SPHERE_TOL = 1e-6
-SPACING_RTOL = 1e-9  # node spacing, and a domain's tiling, relative to its own size
+SPACING_RTOL = 1e-9  # node spacing, and nodes off `_line_rule`'s, relative to their own size
 MIN_PERIODIC_RESOLUTION = 16
 
 
@@ -74,7 +73,9 @@ def _check_resolution(nu: int, nv: int, periodic_u: bool, periodic_v: bool) -> N
 
 class GridSurface(Surface):
     """Surface defined by position samples on a uniform parameter grid, kept with their
-    partials as (4, Nu, Nv) arrays; ``positions`` may be 4 components broadcasting to (Nu, Nv)."""
+    partials as (4, Nu, Nv) arrays; ``positions`` may be 4 components broadcasting to (Nu, Nv).
+    FormatError unless `_check_resolution` and `_line_weights` accept the nodes, which are then
+    `_line_rule`'s and tile their domain."""
 
     sampled = True
 
@@ -82,6 +83,9 @@ class GridSurface(Surface):
                  periodic_u, periodic_v, name="imported"):
         self.nodes_u = np.asarray(nodes_u, dtype=float)
         self.nodes_v = np.asarray(nodes_v, dtype=float)
+        _check_resolution(len(self.nodes_u), len(self.nodes_v), periodic_u, periodic_v)
+        self._weights = (_line_weights(self.nodes_u, domain_u, periodic_u),
+                         _line_weights(self.nodes_v, domain_v, periodic_v))
         if not isinstance(positions, np.ndarray):  # an array is kept, not copied
             positions = np.array(np.broadcast_arrays(*positions))
         self.positions = X = np.asarray(positions, dtype=float)
@@ -125,22 +129,22 @@ class GridSurface(Surface):
 
     def natural_grid(self) -> QuadratureGrid:
         """Quadrature grid over the sample nodes, weighted by `_line_weights`."""
-        return QuadratureGrid(self.nodes_u, self.nodes_v,
-                              _line_weights(self.nodes_u, self.domain_u, self.periodic_u),
-                              _line_weights(self.nodes_v, self.domain_v, self.periodic_v))
+        return QuadratureGrid(self.nodes_u, self.nodes_v, *self._weights)
 
 
 def _line_weights(nodes, domain, periodic) -> np.ndarray:
-    """Weights of one direction's uniform nodes: equispaced if periodic, else Fejer's first
-    rule on a polar direction's cell centres; FormatError unless the nodes tile so."""
+    """The weights of ``_line_rule(*domain, len(nodes), periodic, centres=True)``; FormatError
+    unless the nodes are uniformly spaced and are that rule's nodes."""
+    steps = np.diff(nodes)
+    if not np.allclose(steps, steps[0], rtol=SPACING_RTOL, atol=1e-12):
+        raise FormatError("grid nodes are not uniformly spaced")
     (lo, hi), n = domain, len(nodes)
+    rule_nodes, weights = _line_rule(lo, hi, n, periodic, centres=True)
+    if np.all(np.abs(nodes - rule_nodes) <= SPACING_RTOL * (hi - lo)):
+        return weights
     h = (nodes[-1] - nodes[0]) / (n - 1)
-    tol = SPACING_RTOL * (hi - lo)
-    if abs(n * h - (hi - lo)) <= tol and (periodic or abs(nodes[0] - (lo + h / 2)) <= tol):
-        cell = (hi - lo) / n
-        return np.full(n, cell) if periodic else _polar_weights(cell, n, centres=True)
     raise FormatError(f"{n} nodes from {float(nodes[0])!r} spaced {float(h)!r} do not tile the "
-                      + (f"periodic domain [{lo!r},{hi!r}]" if periodic else
+                      + (f"periodic domain [{lo!r},{hi!r}] from lo" if periodic else
                          f"non-periodic domain [{lo!r},{hi!r}] at its cell centres, as a polar "
                          "direction must"))
 
@@ -150,17 +154,9 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
     u-rows (about NODE_TILE // 4 nodes): each distinct double of a tile, told apart by its
     bits so that -0.0 stays -0.0, is printed once in repr's shortest round-trip digits.
     A resolution import_surface would reject raises ResolutionTooCoarse first."""
-    def nodes(domain, n, periodic):
-        lo, hi = domain
-        if periodic:
-            return lo + (hi - lo) * np.arange(n) / n
-        # Cell centres: keeps chart-degenerate domain endpoints (e.g. the
-        # poles of a sphere chart) out of the sample set.
-        return lo + (hi - lo) * (np.arange(n) + 0.5) / n
-
     _check_resolution(nu, nv, surface.periodic_u, surface.periodic_v)
-    xu = nodes(surface.domain_u, nu, surface.periodic_u)
-    xv = nodes(surface.domain_v, nv, surface.periodic_v)
+    xu = _line_rule(*surface.domain_u, nu, surface.periodic_u, centres=True)[0]
+    xv = _line_rule(*surface.domain_v, nv, surface.periodic_v, centres=True)[0]
     u_line = "%s,%s,%s,%s,%s,%s\n" * nv
 
     def fmt_bool(b):
@@ -247,12 +243,6 @@ def import_surface(path) -> GridSurface:
     if not np.allclose(data[:, 0], np.repeat(nodes_u, nv)) or \
        not np.allclose(data[:, 1], np.tile(nodes_v, nu)):
         raise FormatError("rows are not row-major over a uniform grid")
-    _check_resolution(nu, nv, periodic_u, periodic_v)
-    for nodes, domain, periodic in ((nodes_u, du, periodic_u), (nodes_v, dv, periodic_v)):
-        steps = np.diff(nodes)
-        if not np.allclose(steps, steps[0], rtol=SPACING_RTOL, atol=1e-12):
-            raise FormatError("grid nodes are not uniformly spaced")
-        _line_weights(nodes, domain, periodic)  # FormatError unless they tile the domain
 
     pos = data[:, 2:].T.reshape(4, nu, nv)
     norms = np.linalg.norm(pos, axis=0)

@@ -94,6 +94,11 @@ def f_pinch(t):
     return 2.0 * _x_minus_atan(x) + t * t * np.arctan(x)
 
 
+def _f_term(l, x):
+    """Term l >= 1 of `f_series`, in x = t/sqrt(2)."""
+    return (-1.0) ** (l + 1) * (8.0 * l / (4.0 * l * l - 1.0)) * x ** (2 * l + 1)
+
+
 def f_series(t: float, terms: int) -> tuple[float, float]:
     """Alternating power series for f_pinch, valid on 0 <= t < sqrt(2).
 
@@ -116,10 +121,8 @@ def f_series(t: float, terms: int) -> tuple[float, float]:
     x = t / SQRT2
     total = 0.0
     for l in range(1, terms + 1):
-        total += (-1.0) ** (l + 1) * (8.0 * l / (4.0 * l * l - 1.0)) * x ** (2 * l + 1)
-    nxt = terms + 1
-    bound = (8.0 * nxt / (4.0 * nxt * nxt - 1.0)) * x ** (2 * nxt + 1)
-    return total, bound
+        total += _f_term(l, x)
+    return total, abs(_f_term(terms + 1, x))
 
 
 def solve_increasing(func, target: float) -> RootResult:
@@ -199,15 +202,11 @@ def lemma3_d2Fdtds(t, s):
 
 
 def _cubic_gap_series(x):
-    # Tail of the alternating power series of f past its leading cubic term,
-    # negated: sum_{l>=2} (-1)^l * 8l/(4l^2-1) * x^(2l+1), convergent for x < 1.
+    # Tail of f's alternating power series past its leading cubic term, negated.
     total = np.zeros_like(x)
-    term_scale = x ** 5
-    x2 = x * x
     for l in range(2, 200):
-        term = (-1.0) ** l * (8.0 * l / (4.0 * l * l - 1.0)) * term_scale
+        term = -_f_term(l, x)
         total += term
-        term_scale = term_scale * x2
         if np.all(np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300)):
             break
     return total

@@ -2,7 +2,8 @@
 
 A grid is its two line rules (`_line_rule`): trapezoidal if periodic, Fejer's second rule
 if polar. Both nest, so the half-resolution rule, whose integral of f(|Aring|) is the
-convergence probe, reads every other node of the grid and no other node."""
+convergence probe, reads every other node of the grid and no other node. `_line_rule` also
+places and weighs an imported grid's nodes, on a polar direction's cell centres."""
 
 from __future__ import annotations
 
@@ -46,24 +47,25 @@ class QuadratureGrid:
         return len(self.nodes_u), len(self.nodes_v)
 
 
-def _line_rule(lo: float, hi: float, n: int, periodic: bool):
-    """n cells of width h = (hi - lo)/n: the trapezoidal rule on their left ends if periodic,
-    else the direction is polar (the chart collapses to a point at lo and at hi) and Fejer's
-    second rule in cos(theta), theta = pi (x - lo)/(hi - lo), on the n - 1 interior ends is
-    exact for sin(k theta), k < n (Trefethen 2008). Its weights (`_polar_weights`) do not sum
-    to hi - lo."""
+def _line_rule(lo: float, hi: float, n: int, periodic: bool, centres: bool = False):
+    """n cells of width h = (hi - lo)/n, their nodes at lo + (hi - lo) k/n: the trapezoidal rule
+    on their left ends if periodic, else the direction is polar (the chart collapses to a point
+    at lo and at hi) and, in theta = pi (x - lo)/(hi - lo), Fejer's second rule on the n - 1
+    interior ends, exact for sin(k theta), k < n (Trefethen 2008), or with ``centres`` his
+    first rule on the n cell centres, exact for k <= n. The polar weights (`_polar_weights`)
+    do not sum to hi - lo."""
     h = (hi - lo) / n
     if periodic:
-        return lo + h * np.arange(n), np.full(n, h)
-    return lo + h * np.arange(1, n), _polar_weights(h, n, centres=False)
+        return lo + (hi - lo) * np.arange(n) / n, np.full(n, h)
+    k = np.arange(n) + 0.5 if centres else np.arange(1, n)
+    return lo + (hi - lo) * k / n, _polar_weights(h, n, centres)
 
 
 def _polar_weights(h: float, n: int, centres: bool) -> np.ndarray:
     """A polar direction's weights on n cells of width h: (4h/pi) times the sum over odd k <= n
     of sin(k theta)/k, the k = n term halved, at the n - 1 interior cell ends (Fejer's second
-    rule, where that term is 0 and left out) or at the n cell centres (his first rule, exact
-    for sin(k theta), k <= n). One rfft (Waldvogel 2006) of length 2n, or of length 4n, whose
-    odd outputs are the centres."""
+    rule, where that term is 0 and left out) or at the n cell centres (his first rule). One
+    rfft (Waldvogel 2006) of length 2n, or of length 4n, whose odd outputs are the centres."""
     k = np.arange(1, n + 1 if centres else n, 2)
     coef = np.zeros(4 * n if centres else 2 * n)
     coef[k] = 1.0 / k

@@ -345,10 +345,13 @@ def test_csv_format_rejected_for_non_row_documents(capsys, command):
 
 def test_import_round_trip(capsys, tmp_path):
     path = tmp_path / "clifford.csv"
-    export_grid(clifford_torus(), 32, 32, path)
+    export_grid(clifford_torus(), 32, 16, path)
     code, doc = run_json(capsys, "--samples", "20000", "import", str(path))
     assert code == 0
     assert doc["genus_report"]["genus"] == 1
+    # An import runs on the file's own grid, so that is the resolution it reports,
+    # not the --resolution flag it ignores.
+    assert doc["resolution"] == doc["genus_report"]["resolution"] == [32, 16]
 
 
 def test_import_bad_file_exits_2(capsys, tmp_path):

@@ -455,14 +455,22 @@ def test_nonuniform_spacing_rejected(tmp_path):
         import_surface(path)
 
 
+SHIFT = 0.3 * 2 * math.pi / 32  # 0.3 of a 32-cell torus's node spacing
+
+
 @pytest.mark.parametrize("surface, old, new, dropped_rows", [
     (FlatTorus(0.6), "domain_u=[0.0,6.283185307179586]", "domain_u=[0.0,12.566370614359172]", 0),
     (FlatTorus(0.6), "", "", 32),
     (GeodesicSphere(1.0), "domain_v=[0.0,3.141592653589793]", "domain_v=[0.0,3.0]", 0),
-], ids=["torus-domain-u-doubled", "torus-last-u-row-deleted", "sphere-wrong-domain-v"])
-def test_nodes_that_do_not_tile_their_domain_rejected(tmp_path, surface, old, new, dropped_rows):
+    (FlatTorus(0.6), "domain_u=[0.0,6.283185307179586]",
+     f"domain_u=[{-SHIFT!r},{2 * math.pi - SHIFT!r}]", 0),
+], ids=["torus-domain-u-doubled", "torus-last-u-row-deleted", "sphere-wrong-domain-v",
+        "torus-u-nodes-shifted"])
+def test_nodes_that_do_not_tile_their_domain_rejected(tmp_path, capsys, surface, old, new,
+                                                      dropped_rows):
     # natural_grid weighs nodes by domain/n, the partials by the node spacing: the
     # doubled torus domain would certify twice the area, the missing row a chi of 0.074.
+    # Periodic nodes start at lo: u-nodes 0.3 of a cell past it tile no 32-cell rule.
     path, _ = _round_trip(tmp_path, surface, 32, 32)
     lines = path.read_text().splitlines()
     assert old in lines[0]
@@ -470,8 +478,18 @@ def test_nodes_that_do_not_tile_their_domain_rejected(tmp_path, surface, old, ne
     path.write_text("\n".join(lines[:len(lines) - dropped_rows]) + "\n")
     with pytest.raises(FormatError, match="do not tile"):
         import_surface(path)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["--samples", "1000", "import", str(path)]) == 2
+    assert main(["--samples", "1000", "import", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "do not tile" in err
+
+
+def test_grid_surface_refuses_nodes_that_do_not_tile_its_domain():
+    # 32 nodes spaced 0.1 cover 3.2 of a 2 pi domain: refused when built, before any
+    # partial or weight is read off them.
+    torus, nodes = FlatTorus(0.6), 0.1 * np.arange(32)
+    position = torus.point(nodes[:, None], nodes[None, :]).position
+    with pytest.raises(FormatError, match="do not tile"):
+        GridSurface(nodes, nodes, position, torus.domain_u, torus.domain_v, True, True)
 
 
 def _relabel(path, old, new):

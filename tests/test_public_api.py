@@ -55,3 +55,10 @@ VERDICT_NAMES = {"at_most", "pi", "GAP_THRESHOLD", "exact_lambda1", "eigenvalue_
 
 def test_cli_holds_no_verdict():
     assert _names(ROOT / "src" / "s3pinch" / "cli.py") & VERDICT_NAMES == set()
+
+
+def test_polar_weights_are_only_read_through_the_line_rule():
+    # `quadrature._line_rule` is the one place that places a grid direction's nodes and
+    # weighs them, for catalog grids and imported files alike.
+    files = [*(ROOT / "src" / "s3pinch").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    assert {p.name for p in files if "_polar_weights" in _names(p)} == {"quadrature.py"}

@@ -34,7 +34,7 @@ def test_weights_sum_to_domain_measure():
     assert np.sum(grid.weights_v * np.sin(grid.nodes_v)) == pytest.approx(2.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [16, 64, 2048])
+@pytest.mark.parametrize("n", [16, 48, 64, 2048])
 def test_half_rule_nests_bit_for_bit(n):
     # The n/2-cell rule's nodes are the grid's even cell ends, bit for bit, and the
     # grid stores that rule's weights on them and 0 on every other node.
@@ -49,30 +49,24 @@ def test_half_rule_nests_bit_for_bit(n):
         assert np.array_equal(stored[on], half_weights) and not np.any(stored[~on])
 
 
-@pytest.mark.parametrize("n", [4, 5, 16, 17, 64])
-def test_polar_rule_integrates_every_resolved_sine_exactly(n):
-    # Fejer's second rule in cos(theta) is exact for sin(k theta), 1 <= k < n.
-    nodes, weights = quadrature._line_rule(0.0, PI, n, False)
-    assert len(nodes) == n - 1 and np.all((0.0 < nodes) & (nodes < PI))
-    for k in range(1, n):
+POLAR_RULES = [(n, centres) for centres in (False, True) for n in (4, 5, 16, 17, 64)]
+
+
+@pytest.mark.parametrize("n, centres", POLAR_RULES,
+                         ids=[f"centres-{n}" if centres else str(n) for n, centres in POLAR_RULES])
+def test_polar_rule_integrates_every_resolved_sine_exactly(n, centres):
+    # Fejer's second rule in cos(theta), on the n - 1 interior cell ends of a catalog grid, is
+    # exact for sin(k theta), 1 <= k < n; his first rule, on the n cell centres a grid file
+    # holds, for 1 <= k <= n.
+    nodes, weights = quadrature._line_rule(0.0, PI, n, False, centres)
+    assert len(nodes) == (n if centres else n - 1) and np.all((0.0 < nodes) & (nodes < PI))
+    for k in range(1, n + 1 if centres else n):
         exact = 2.0 / k if k % 2 else 0.0
         assert abs(np.sum(weights * np.sin(k * nodes)) - exact) <= 1e-14, k
     lo, hi = -0.3, 2.9  # theta = pi (x - lo)/(hi - lo) on any interval
-    nodes, weights = quadrature._line_rule(lo, hi, n, False)
+    nodes, weights = quadrature._line_rule(lo, hi, n, False, centres)
     got = np.sum(weights * np.sin(PI * (nodes - lo) / (hi - lo)))
     assert got == pytest.approx(2.0 * (hi - lo) / PI, abs=1e-14)
-
-
-@pytest.mark.parametrize("n", [4, 5, 16, 17, 64])
-def test_polar_rule_on_cell_centres_integrates_every_resolved_sine_exactly(n):
-    # Fejer's first rule, on the n cell centres a grid file holds, is exact for
-    # sin(k theta), 1 <= k <= n.
-    h = PI / n
-    nodes = h * (np.arange(n) + 0.5)
-    weights = quadrature._polar_weights(h, n, centres=True)
-    for k in range(1, n + 1):
-        exact = 2.0 / k if k % 2 else 0.0
-        assert abs(np.sum(weights * np.sin(k * nodes)) - exact) <= 1e-14, k
 
 
 def test_sphere_chart_reports_convergence_from_16_cells():
