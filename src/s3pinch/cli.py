@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -162,6 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once: parse_args leaves it as is
+
+
 def _fail(message: str, code: int) -> int:
     # User text quoted in a message (a spec, a path) may hold line breaks.
     print(message.replace("\n", "\\n"), file=sys.stderr)
@@ -170,7 +174,7 @@ def _fail(message: str, code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.format == "csv" and args.command != "sweep-tori":
             raise DomainError(f"--format csv applies to sweep-tori only, not {args.command}")
         if not (math.isfinite(args.tol) and args.tol > 0):

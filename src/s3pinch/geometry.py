@@ -94,6 +94,10 @@ def tangent_normal_frame(p: SurfacePoint, row0: int = 0):
         If E*G - F^2 <= DEGENERACY_RTOL * E*G at any point of the batch; the
         message names the first, its row offset by ``row0`` (the batch's row in a grid).
     """
+    return _frame(p, row0)[:2]
+
+
+def _frame(p: SurfacePoint, row0: int):  # tangent_normal_frame's return, and E*G - F^2
     E, F, G = first_fundamental_form(p)
     det = E * G - F * F
     bad = det <= DEGENERACY_RTOL * E * G
@@ -108,20 +112,20 @@ def tangent_normal_frame(p: SurfacePoint, row0: int = 0):
     nu = cross4(p.position, p.du, p.dv)
     # Every component of position, du and dv enters |nu|, so it has the batch shape.
     norm = np.sqrt(dot(nu, nu))
-    return tuple(x / norm for x in nu), tuple(np.broadcast_to(x, norm.shape) for x in (E, F, G))
+    return (tuple(x / norm for x in nu),
+            tuple(np.broadcast_to(x, norm.shape) for x in (E, F, G)), det)
 
 
 def curvature_at(p: SurfacePoint, row0: int = 0) -> CurvatureData:
     """Principal curvatures and derived invariants at a surface point, each in
-    the batch shape (that of the frame, whose E, F, G are broadcast to it).
+    the batch shape (that of the frame, whose E, F, G and area element are broadcast to it).
 
     k1 <= k2 are the eigenvalues of the shape operator I^{-1} II, where the
     second fundamental form is read off the raw 4-space second partials
     through the unit normal (components along the sphere radius drop out
     because the normal is tangent to the 3-sphere).
     """
-    nu, (E, F, G) = tangent_normal_frame(p, row0)
-    det = E * G - F * F
+    nu, (E, F, G), det = _frame(p, row0)
     sqrt_det = np.sqrt(det)
     e = dot(p.duu, nu)
     f = dot(p.duv, nu)
@@ -149,6 +153,6 @@ def curvature_at(p: SurfacePoint, row0: int = 0) -> CurvatureData:
         H=mean,
         traceless_norm=(k2 - k1) / np.sqrt(2.0),
         gauss_K=1.0 + k1 * k2,
-        area_element=sqrt_det,
+        area_element=np.broadcast_to(sqrt_det, k1.shape),
     )
 

@@ -73,25 +73,24 @@ def elementwise(rule=None):
     return decorate
 
 
-def _x_minus_atan(x):
-    """x - atan(x), stable for small x (direct subtraction cancels to 0)."""
-    small = np.abs(x) < 0.1
-    xs = np.where(small, x, 0.0)
+# Private expressions take the arctangents they need, so a quadrature tile takes each once.
+def _x_minus_atan(x, atan_x):  # by its series on the x with |x| < 0.1, where x - atan x cancels
+    out, small = np.asarray(x - atan_x), np.abs(x) < 0.1
+    xs = x[small]
     x2 = xs * xs
-    series = xs ** 3 * (1.0 / 3.0 + x2 * (-1.0 / 5.0 + x2 * (
+    out[small] = xs ** 3 * (1.0 / 3.0 + x2 * (-1.0 / 5.0 + x2 * (
         1.0 / 7.0 + x2 * (-1.0 / 9.0 + x2 * (1.0 / 11.0 + x2 * (-1.0 / 13.0))))))
-    return np.where(small, series, x - np.arctan(x))
+    return out
+
+
+def _f(t, atan_x):  # 2*(x - atan x) + t^2 atan x, x = t/sqrt(2): both terms >= 0, so f >= 0
+    return 2.0 * _x_minus_atan(t / SQRT2, atan_x) + t * t * atan_x
 
 
 @elementwise(_NONNEG)
 def f_pinch(t):
-    """Pinching function sqrt(2)*t + (t^2 - 2)*atan(t/sqrt(2)), t >= 0.
-
-    Evaluated as 2*(x - atan x) + t^2 * atan(x) with x = t/sqrt(2): both terms
-    are nonnegative, so positivity survives roundoff for tiny t.
-    """
-    x = t / SQRT2
-    return 2.0 * _x_minus_atan(x) + t * t * np.arctan(x)
+    """Pinching function sqrt(2)*t + (t^2 - 2)*atan(t/sqrt(2)), t >= 0, as `_f`."""
+    return _f(t, np.arctan(t / SQRT2))
 
 
 def _f_term(l, x):
@@ -232,27 +231,31 @@ def acot(x):
     return np.pi / 2.0 - np.arctan(x)
 
 
+def _hk(k1, k2, acot_k2):
+    return 0.5 * (-k1 + (1.0 + k1 * k2) * acot_k2)
+
+
 @elementwise(_ORDERED)
 def hk_time_integral(k1, k2):
-    """Tube Jacobian integrated over [0, acot(k2)] in closed form.
+    """Tube Jacobian integrated up to the focal time acot(k2): (-k1 + (1 + k1*k2)*acot(k2))/2."""
+    return _hk(k1, k2, acot(k2))
 
-    Equals (1/2)*(-k1 + (1 + k1*k2)*acot(k2)); the upper limit is the focal
-    time along the normal geodesic.
-    """
-    return 0.5 * (-k1 + (1.0 + k1 * k2) * (np.pi / 2.0 - np.arctan(k2)))
+
+def _prop1(k1, k2, atan_k1, atan_k2):
+    return k2 - k1 - (1.0 + k1 * k2) * (atan_k2 - atan_k1)
 
 
 @elementwise(_ORDERED)
 def prop1_integrand(k1, k2):
     """Genus-bound integrand k2 - k1 - (1 + k1*k2)*(atan k2 - atan k1)."""
-    return k2 - k1 - (1.0 + k1 * k2) * (np.arctan(k2) - np.arctan(k1))
+    return _prop1(k1, k2, np.arctan(k1), np.arctan(k2))
 
 
 @elementwise(_NONNEG)
 def beta_pinch(b):
     """Strictly increasing map b -> b + (b^2 - 1)*atan(b), evaluated as f_pinch(sqrt(2)*b)/2
     = (b - atan b) + b^2*atan(b): both terms are nonnegative, so small b does not cancel."""
-    return _x_minus_atan(b) + b * b * np.arctan(b)
+    return _x_minus_atan(b, atan_b := np.arctan(b)) + b * b * atan_b
 
 
 def beta_target(g0: int, area: float) -> float:

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GenusDetectionFailure, NoSpectralData, NotMinimal
+from .errors import DomainError, GenusDetectionFailure, NoSpectralData, NotMinimal, NumericalFailure
 from .geometry import curvature_at
-from .pinch import (
-    FOUR_PI_SQ, SQRT2, acot, at_most, eigenvalue_bounds, f_pinch, hk_time_integral,
-    prop1_integrand,
-)
+from .pinch import FOUR_PI_SQ, SQRT2, _f, _hk, _prop1, at_most, eigenvalue_bounds
+# Not called here: perfbench/tracing.py patches f_pinch in this module; tube imports the others.
+from .pinch import f_pinch, hk_time_integral, prop1_integrand  # noqa: F401
 from .catalog import FlatTorus, Surface
 
 GAP_THRESHOLD = 3.0 * SQRT2 * math.pi ** 2
@@ -118,8 +117,8 @@ class NodeSums:
 
 def node_sums(surface: Surface, grid: QuadratureGrid) -> NodeSums:
     """Reduce the grid's node field in one pass over tiles of whole u-rows
-    holding about NODE_TILE nodes, so memory does not grow with the grid.
-    Side 2's principal curvatures are (-k2, -k1)."""
+    holding about NODE_TILE nodes, so memory does not grow with the grid; a tile takes three
+    arctangents. Side 2's principal curvatures are (-k2, -k1)."""
     nu, nv = grid.resolution
     step = max(1, NODE_TILE // nv)
     sums = np.zeros(8)
@@ -127,13 +126,17 @@ def node_sums(surface: Surface, grid: QuadratureGrid) -> NodeSums:
     for start in range(0, nu, step):
         rows = slice(start, start + step)
         cd, w = _node_data(surface, grid, rows)
-        k1, k2, t, f = cd.k1, cd.k2, cd.traceless_norm, f_pinch(cd.traceless_norm)
+        k1, k2, t = cd.k1, cd.k2, cd.traceless_norm
+        if not np.isfinite(k1 + k2 + t).all():  # one scan: the sum is finite only if all three are
+            row = start + np.isfinite(k1 + k2 + t).all(axis=1).argmin()
+            raise NumericalFailure(f"non-finite curvature at grid row {row}: rescale the surface")
+        a1, a2, f = np.arctan(k1), np.arctan(k2), _f(t, np.arctan(t / SQRT2))
+        focal = np.pi / 2.0 - a2, np.pi / 2.0 + a1  # acot(k2), acot(-k1): atan is odd
         sums += [np.sum(w * x) for x in (
             1.0, cd.gauss_K, f, t ** 3, (k1 ** 2 + k2 ** 2) ** 1.5,
-            hk_time_integral(k1, k2), hk_time_integral(-k2, -k1), prop1_integrand(k1, k2))]
+            _hk(k1, k2, focal[0]), _hk(-k2, -k1, focal[1]), _prop1(k1, k2, a1, a2))]
         if grid.half_u is not None:
             half_f += np.sum(grid.half_u[rows, None] * grid.half_v * cd.area_element * f)
-        focal = acot(k2), acot(-k1)
         lo = np.minimum(lo, [np.min(x) for x in focal])
         hi = np.maximum(hi, [np.max(x) for x in focal])
         max_H = max(max_H, float(np.max(np.abs(cd.H))))

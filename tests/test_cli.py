@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s3pinch import catalog, errors, pinch, quadrature
+from s3pinch import catalog, cli, errors, pinch, quadrature
 from s3pinch.cli import MAX_RESOLUTION, MAX_SAMPLES, build_parser, main
 from s3pinch.quadrature import MAX_SWEEP_STEPS, sweep_tori
 from s3pinch.gridio import export_grid
@@ -65,6 +66,21 @@ def test_check_perturbed_sphere(capsys):
     assert code == 0
     assert doc["genus_report"]["genus"] == 0
     assert doc["genus_report"]["slack"] > 0.0
+
+
+class _OverflowingTorus(FlatTorus):
+    def point(self, u, v):  # duu scaled by 1e308: every curvature overflows to inf or nan
+        p = super().point(u, v)
+        return dataclasses.replace(p, duu=tuple(1e308 * x for x in p.duu))
+
+
+def test_non_finite_curvature_exits_4_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "parse_surface", lambda spec: _OverflowingTorus(0.6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["--resolution", "16", "--samples", "1000", "check", "torus:a=0.6"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "numerical failure: non-finite curvature at grid row 0: rescale the surface\n"
 
 
 def test_wrong_exact_volume_fails_hk_link_and_reports_everything(capsys, monkeypatch):
@@ -495,6 +511,21 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["check", "sphere:r=1.0"])
     assert args.surface == "sphere:r=1.0"
+
+
+def test_two_main_calls_build_the_parser_at_most_once(capsys, monkeypatch):
+    # Building the argparse tree costs about a millisecond: main builds it once per process.
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["solve", "finv", "1.0"]) == 0
+    assert main(["--format", "text", "solve", "finv", "2.0"]) == 0
+    assert built.count("s3pinch") <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -236,8 +236,8 @@ def test_imported_flat_torus_sum_bound_catches_a_small_error(tmp_path, monkeypat
     # A Heintze-Karcher bound 1e-5 too small must fail the flat torus's equality.
     path, gs = _round_trip(tmp_path, FlatTorus(0.55), n, n)
     assert verify_sum_inequality(gs, gs.natural_grid()).checks["sum_bound"]
-    hk = quadrature.hk_time_integral
-    monkeypatch.setattr(quadrature, "hk_time_integral", lambda k1, k2: (1.0 - 1e-5) * hk(k1, k2))
+    hk = quadrature._hk  # the Heintze-Karcher expression node_sums reduces
+    monkeypatch.setattr(quadrature, "_hk", lambda *args: (1.0 - 1e-5) * hk(*args))
     assert not verify_sum_inequality(gs, gs.natural_grid()).checks["sum_bound"]
 
 
@@ -269,8 +269,8 @@ def test_imported_sphere_sum_bound_catches_a_tiny_error(tmp_path, monkeypatch):
     # --tol 1e-12 (an O(h^2) polar rule's upward error hid one 1e-5 too small).
     _, gs = _round_trip(tmp_path, GeodesicSphere(1.0), 64, 64)
     assert verify_sum_inequality(gs, gs.natural_grid(), tol=1e-12).checks["sum_bound"]
-    hk = quadrature.hk_time_integral
-    monkeypatch.setattr(quadrature, "hk_time_integral", lambda k1, k2: (1.0 - 1e-10) * hk(k1, k2))
+    hk = quadrature._hk  # the Heintze-Karcher expression node_sums reduces
+    monkeypatch.setattr(quadrature, "_hk", lambda *args: (1.0 - 1e-10) * hk(*args))
     assert not verify_sum_inequality(gs, gs.natural_grid(), tol=1e-12).checks["sum_bound"]
 
 

@@ -16,6 +16,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALLOWED_UNREFERENCED = {
     "lemma3_dFds": "the paper's Lemma 3 partial dF/ds",
     "min_surface_maxA_bound": "the paper's max|A| corollary, shown in the README",
+    "tangent_normal_frame": "the frame's public form; curvature_at reads it, with E*G - F^2, "
+                            "through geometry._frame",
 }
 
 

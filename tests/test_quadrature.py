@@ -7,11 +7,11 @@ import pytest
 
 from s3pinch import (
     DegenerateMetric, FlatTorus, GenusDetectionFailure, GeodesicSphere,
-    NotMinimal, PerturbedSphere, acot, clifford_torus, f_pinch,
-    f_series, eigen_report, gap_report, genus_report, hk_time_integral, make_grid,
-    prop1_integrand, quadrature,
+    NotMinimal, NumericalFailure, PerturbedSphere, acot, clifford_torus, export_grid, f_pinch,
+    f_series, eigen_report, gap_report, genus_report, hk_time_integral, import_surface,
+    make_grid, prop1_integrand, quadrature,
 )
-from s3pinch.quadrature import _node_data, node_sums
+from s3pinch.quadrature import NodeSums, _node_data, node_sums
 
 PI = math.pi
 FOUR_PI_SQ = 4 * PI ** 2
@@ -313,3 +313,68 @@ def test_degenerate_metric_names_the_grid_node_in_the_last_tile(monkeypatch):
     surface = _PinchedTorus(0.6)
     with pytest.raises(DegenerateMetric, match=r"batch index \(30, 7\):"):
         quadrature.node_sums(surface, make_grid(surface, 32, 32))
+
+
+def _reference_sums(surface, grid):
+    """`node_sums` reduced from the public elementwise functions, over the same tiles in the
+    same order, so every float it adds is the one `node_sums` should add."""
+    step = max(1, quadrature.NODE_TILE // grid.resolution[1])
+    sums, half_f, lo, hi, max_H = np.zeros(8), 0.0, np.full(2, np.inf), np.full(2, -np.inf), 0.0
+    for start in range(0, grid.resolution[0], step):
+        rows = slice(start, start + step)
+        cd, w = _node_data(surface, grid, rows)
+        k1, k2, t = cd.k1, cd.k2, cd.traceless_norm
+        f = f_pinch(t)
+        sums += [np.sum(w * x) for x in (
+            1.0, cd.gauss_K, f, t ** 3, (k1 ** 2 + k2 ** 2) ** 1.5,
+            hk_time_integral(k1, k2), hk_time_integral(-k2, -k1), prop1_integrand(k1, k2))]
+        if grid.half_u is not None:
+            half_f += np.sum(grid.half_u[rows, None] * grid.half_v * cd.area_element * f)
+        focal = acot(k2), acot(-k1)
+        lo = np.minimum(lo, [np.min(x) for x in focal])
+        hi = np.maximum(hi, [np.max(x) for x in focal])
+        max_H = max(max_H, float(np.max(np.abs(cd.H))))
+    area, total_K, int_f, int_A3, abs_A3, hk1, hk2, prop1 = map(float, sums)
+    return NodeSums(area, total_K, int_f, int_A3, abs_A3, (hk1, hk2), prop1,
+                    tuple(map(float, lo)), tuple(map(float, hi)), max_H,
+                    None if grid.half_u is None else abs(int_f - float(half_f)) / (1.0 + abs(int_f)))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("surface", [
+    FlatTorus(0.6), GeodesicSphere(1.0), PerturbedSphere(1.2, 0.1, 6, 3),
+    PerturbedSphere(1.0, 0.2, 2, 0),
+], ids=["torus", "sphere", "psphere63", "psphere20"])
+def test_node_sums_equal_the_public_functions_bit_for_bit(surface, n):
+    # The tile takes three arctangents instead of the public functions' eight, and no
+    # validation: every sum, extreme and the convergence probe keep their bits (repr
+    # tells -0.0 from 0.0).
+    grid = make_grid(surface, n, n)
+    assert repr(node_sums(surface, grid)) == repr(_reference_sums(surface, grid))
+
+
+def test_imported_node_sums_equal_the_public_functions_bit_for_bit(tmp_path):
+    export_grid(GeodesicSphere(1.0), 32, 16, tmp_path / "sphere.csv")
+    surface = import_surface(tmp_path / "sphere.csv")
+    grid = surface.natural_grid()
+    assert grid.resolution == (32, 16)
+    assert repr(node_sums(surface, grid)) == repr(_reference_sums(surface, grid))
+
+
+class _OverflowingTorus(FlatTorus):
+    """A flat torus whose second u-partial is scaled by 1e308 from grid row 9 of 16 on,
+    so its curvatures there overflow to inf or nan."""
+
+    def point(self, u, v):
+        p = super().point(u, v)
+        scale = np.where(u >= make_grid(self, 16, 16).nodes_u[9], 1e308, 1.0)
+        return dataclasses.replace(p, duu=tuple(scale * x for x in p.duu))
+
+
+def test_non_finite_curvature_is_a_numerical_failure_naming_its_row(monkeypatch):
+    # Row 9 lies in the third tile of four rows: the message offsets it by the tile's start.
+    monkeypatch.setattr(quadrature, "NODE_TILE", 4 * 16)
+    surface = _OverflowingTorus(0.6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match=r"non-finite curvature at grid row 9: "):
+            node_sums(surface, make_grid(surface, 16, 16))
