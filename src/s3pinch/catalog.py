@@ -1,8 +1,10 @@
 """Exact parametric surface families in the unit 3-sphere.
 
-Each surface supplies analytic partials for the immersion into 4-space, a
-side classifier for the two complementary regions, and whatever closed-form
-data (area, side volumes, curvatures, first eigenvalue) exists for it.
+Each is a radial graph x = cos(rho) A + sin(rho) B over an orthonormal model pair:
+the sphere chart, A = e4 and B = d(theta, phi), or the Hopf chart, A = (e^{iu}, 0)
+and B = (0, e^{iv}); geodesic spheres and flat tori have constant rho and carry no
+partials of it.  Each also has a side classifier and whatever closed-form data
+(area, side volumes, curvatures, first eigenvalue) exists for it.
 
 Orientation convention used throughout the toolkit: the frame normal is
 cross4(position, du, dv) normalized, and *side 1* is the region that normal
@@ -34,7 +36,9 @@ _RADIUS_PROBE = 24
 
 
 class Surface:
-    """Base class: a parametric immersion (u, v) -> S^3 with side data."""
+    """Base class: a parametric immersion (u, v) -> S^3 with side data.  A catalog surface
+    gives ``_radius(u, v)``: cos rho, sin rho, then rho's partials only where rho varies; and
+    ``_chart(u, v, p, q)``: p A + q B and its partials; a float p or q scales 1-D factors."""
 
     name: str = "surface"
     domain_u: tuple[float, float] = (0.0, TWO_PI)
@@ -52,22 +56,30 @@ class Surface:
     exact_principal_curvatures: tuple[float, float] | None = None
 
     def point(self, u, v) -> SurfacePoint:
-        raise NotImplementedError
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        c, s, *partials = self._radius(u, v)
+        x = self._chart(u, v, c, s)
+        if not partials:  # constant rho: no rho term, so no tile is multiplied by 0.0
+            return SurfacePoint(*x)
+        # Chain rule through T = dx/drho = -sin(rho) A + cos(rho) B, with dT/drho = -x:
+        # x_a = X_a + rho_a T, x_ab = X_ab + rho_a T_b + rho_b T_a - rho_a rho_b x + rho_ab T,
+        # with fields and rho's partials both indexed u, v, uu, uv, vv = 1 ... 5.
+        t, r = self._chart(u, v, -s, c), (None, *partials)
+        fields = [x[0]] + [tuple(y + r[a] * z for y, z in zip(x[a], t[0])) for a in (1, 2)]
+        for ab, a, b in ((3, 1, 1), (4, 1, 2), (5, 2, 2)):
+            rr = r[a] * r[b]
+            fields.append(tuple(y + r[a] * zb + r[b] * za - rr * p + r[ab] * z
+                                for y, zb, za, p, z in zip(x[ab], t[b], t[a], x[0], t[0])))
+        return SurfacePoint(*fields)
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
         """True where the unit 4-vector(s) x lie on side 1."""
         raise NotImplementedError
 
 
-class GeodesicSphere(Surface):
-    """Distance sphere of radius r about the pole (0,0,0,1).
+class _SphereChart(Surface):
+    """Geodesic-polar chart about the pole e4: u = azimuth, v = polar angle in (0, pi)."""
 
-    Chart: u = azimuth (periodic), v = polar angle in (0, pi).  With the
-    toolkit's frame order the normal points into the ball and both principal
-    curvatures equal cot(r).
-    """
-
-    periodic_u = True
     periodic_v = False
     domain_v = (0.0, math.pi)
 
@@ -75,6 +87,23 @@ class GeodesicSphere(Surface):
         if not np.isfinite(r) or not (_R_MIN <= r <= math.pi - _R_MIN):
             raise DomainError(f"sphere radius must lie in [{_R_MIN}, pi-{_R_MIN}], got {r}")
         self.r = float(r)
+
+    def _chart(self, u, v, p, q):
+        # p e4 + q d, with d = (sin v cos u, sin v sin u, cos v) in the first three coordinates.
+        st, ct = np.sin(v), np.cos(v)
+        sp_, cp = np.sin(u), np.cos(u)
+        qs, qc = q * st, q * ct
+        x, y = qs * cp, qs * sp_
+        dv = (qc * cp, qc * sp_, -qs, 0.0)
+        return ((x, y, qc, p), (-y, x, 0.0, 0.0), dv, (-x, -y, 0.0, 0.0),
+                (-dv[1], dv[0], 0.0, 0.0), (-x, -y, -qc, 0.0))
+
+
+class GeodesicSphere(_SphereChart):
+    """Distance sphere of radius r about (0,0,0,1), the sphere chart at rho = r."""
+
+    def __init__(self, r: float):
+        super().__init__(r)
         self.name = f"sphere:r={self.r:.10g}"
         sr = math.sin(self.r)
         ball = math.pi * (2.0 * self.r - math.sin(2.0 * self.r))
@@ -84,22 +113,15 @@ class GeodesicSphere(Surface):
         k = 1.0 / math.tan(self.r)
         self.exact_principal_curvatures = (k, k)
 
-    def point(self, u, v) -> SurfacePoint:
-        phi, th = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        sr, cr = math.sin(self.r), math.cos(self.r)
-        st, ct = np.sin(th), np.cos(th)
-        sp_, cp = np.sin(phi), np.cos(phi)
-        x, y, z = sr * st * cp, sr * st * sp_, sr * ct
-        dv = (sr * ct * cp, sr * ct * sp_, -sr * st, 0.0)
-        return SurfacePoint((x, y, z, cr), (-y, x, 0.0, 0.0), dv, (-x, -y, 0.0, 0.0),
-                            (-dv[1], dv[0], 0.0, 0.0), (-x, -y, -z, 0.0))
+    def _radius(self, u, v):
+        return math.cos(self.r), math.sin(self.r)
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[..., 3] > math.cos(self.r)
 
 
 class FlatTorus(Surface):
-    """Product torus (a cos u, a sin u, b cos v, b sin v), b = sqrt(1-a^2).
+    """Product torus (a e^{iu}, b e^{iv}), b = sqrt(1-a^2): the Hopf chart at rho = acos(a).
 
     Flat (K = 0), principal curvatures {-a/b, b/a} with respect to the frame
     normal, which points into the solid torus {x1^2 + x2^2 < a^2} (side 1).
@@ -118,12 +140,15 @@ class FlatTorus(Surface):
         if abs(self.a - 1.0 / SQRT2) < _MINIMAL_TOL:  # the Clifford torus
             self.exact_lambda1 = 2.0
 
-    def point(self, u, v) -> SurfacePoint:
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        x, y = self.a * np.cos(u), self.a * np.sin(u)
-        z, w = self.b * np.cos(v), self.b * np.sin(v)
-        return SurfacePoint((x, y, z, w), (-y, x, 0.0, 0.0), (0.0, 0.0, -w, z),
-                            (-x, -y, 0.0, 0.0), (0.0,) * 4, (0.0, 0.0, -z, -w))
+    def _chart(self, u, v, p, q):
+        # p (e^{iu}, 0) + q (0, e^{iv}).
+        x, y = p * np.cos(u), p * np.sin(u)
+        z, w = q * np.cos(v), q * np.sin(v)
+        return ((x, y, z, w), (-y, x, 0.0, 0.0), (0.0, 0.0, -w, z),
+                (-x, -y, 0.0, 0.0), (0.0,) * 4, (0.0, 0.0, -z, -w))
+
+    def _radius(self, u, v):
+        return self.a, self.b
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -135,7 +160,7 @@ def clifford_torus() -> FlatTorus:
     return FlatTorus(1.0 / math.sqrt(2.0))
 
 
-class PerturbedSphere(Surface):
+class PerturbedSphere(_SphereChart):
     """Geodesic-polar graph rho = r + eps * Z_lm over the round sphere chart.
 
     Z_lm is the real spherical harmonic with unit L^2 norm on the 2-sphere:
@@ -147,13 +172,8 @@ class PerturbedSphere(Surface):
     pinching integrand for eps != 0.
     """
 
-    periodic_u = True
-    periodic_v = False
-    domain_v = (0.0, math.pi)
-
     def __init__(self, r: float, eps: float, l: int, m: int):
-        if not np.isfinite(r) or not (_R_MIN <= r <= math.pi - _R_MIN):
-            raise DomainError(f"sphere radius must lie in [{_R_MIN}, pi-{_R_MIN}], got {r}")
+        super().__init__(r)
         if not np.isfinite(eps) or abs(eps) > _EPS_CAP:
             raise DomainError(f"|eps| must be <= {_EPS_CAP}, got {eps}")
         if not (isinstance(l, (int, np.integer)) and isinstance(m, (int, np.integer))):
@@ -162,7 +182,7 @@ class PerturbedSphere(Surface):
             raise DomainError(f"invalid spherical-harmonic mode (l={l}, m={m})")
         if l > _L_MAX:
             raise DomainError(f"mode degree l must be <= {_L_MAX}, got {l}")
-        self.r, self.eps, self.l, self.m = float(r), float(eps), int(l), int(m)
+        self.eps, self.l, self.m = float(eps), int(l), int(m)
         self.name = f"psphere:r={self.r:.10g},eps={self.eps:.10g},l={self.l},m={self.m}"
 
         a = abs(self.m)
@@ -175,14 +195,15 @@ class PerturbedSphere(Surface):
         self._legendre = (q, q.deriv(), q.deriv(2))
 
         n = _RADIUS_PROBE
-        rho = self._rho(np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None],
-                        np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n))
+        rho = self._radius(np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None],
+                           np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n),
+                           partials=False)
         if not np.all((rho > 0.0) & (rho < math.pi)):  # NaN included
             raise DomainError("perturbed radius leaves (0, pi); reduce eps")
 
-    def _rho(self, phi, theta, partials=False):
-        """rho, or with partials=True the tuple of rho and its partials along
-        phi, theta, phi-phi, phi-theta, theta-theta.
+    def _radius(self, phi, theta, partials=True):
+        """cos(rho), sin(rho) and rho's partials along phi, theta, phi-phi, phi-theta
+        and theta-theta; with partials=False, rho alone.
 
         The theta factor sin^a * Q(cos) is differentiated by the product rule
         with no division by sin(theta), so every partial is finite at the
@@ -202,39 +223,8 @@ class PerturbedSphere(Surface):
                 - (2 * a + 1) * sa * c * q1 + s ** (a + 2) * q2)
         g_p = -a * np.sin(a * phi) if self.m >= 0 else a * np.cos(a * phi)
         g_pp = -a * a * g
-        return (rho, k * f * g_p, k * f_t * g,
+        return (np.cos(rho), np.sin(rho), k * f * g_p, k * f_t * g,
                 k * f * g_pp, k * f_t * g_p, k * f_tt * g)
-
-    def point(self, u, v) -> SurfacePoint:
-        # Chain rule through pos = sin(rho) * d + cos(rho) * e4, where d is the
-        # unit direction (theta, phi) in the first three coordinates and
-        # tang = d pos / d rho has d tang / d rho = -pos.  The d's below hold
-        # the first three components; the fourth is e4's.
-        phi, th = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        rho, r_u, r_v, r_uu, r_uv, r_vv = self._rho(phi, th, partials=True)
-        st, ct = np.sin(th), np.cos(th)
-        sp_, cp = np.sin(phi), np.cos(phi)
-        d = (st * cp, st * sp_, ct)
-        d_u = (-st * sp_, st * cp, 0.0)
-        d_v = (ct * cp, ct * sp_, -st)
-        sr, cr = np.sin(rho), np.cos(rho)
-        pos = (*(sr * x for x in d), cr)
-        tang = (*(cr * x for x in d), -sr)
-
-        def first(r_x, d_x):
-            return (*(r_x * t + sr * x for t, x in zip(tang, d_x)), r_x * tang[3])
-
-        def second(r_x, r_y, r_xy, d_x, d_y, d_xy):
-            return (*(r_xy * t - r_x * r_y * p + cr * (r_x * y + r_y * x) + sr * xy
-                      for t, p, x, y, xy in zip(tang, pos, d_x, d_y, d_xy)),
-                    r_xy * tang[3] - r_x * r_y * pos[3])
-
-        return SurfacePoint(
-            pos, first(r_u, d_u), first(r_v, d_v),
-            second(r_u, r_u, r_uu, d_u, d_u, (-d[0], -d[1], 0.0)),
-            second(r_u, r_v, r_uv, d_u, d_v, (-ct * sp_, ct * cp, 0.0)),
-            second(r_v, r_v, r_vv, d_v, d_v, tuple(-x for x in d)),
-        )
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -242,7 +232,7 @@ class PerturbedSphere(Surface):
         rad = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
         theta = np.arccos(np.clip(np.divide(x[..., 2], np.where(rad == 0, 1.0, rad)), -1.0, 1.0))
         phi = np.arctan2(x[..., 1], x[..., 0])
-        return psi < self._rho(phi, theta)
+        return psi < self._radius(phi, theta, partials=False)
 
 
 def sample_s3(n: int, rng: np.random.Generator) -> np.ndarray:

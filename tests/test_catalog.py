@@ -161,9 +161,11 @@ def test_perturbed_sphere_reduces_to_round_sphere_at_zero_eps():
     ps = PerturbedSphere(1.0, 0.0, 2, 0)
     gs = GeodesicSphere(1.0)
     u, v = random_params(gs, 50)
+    # Both are the sphere chart's radial graph at rho = 1: at eps = 0 every rho term is a
+    # zero, so the values (not the signs of zeros) are those of the constant member.
     a, b = ps.point(u, v), gs.point(u, v)
     for field in FIELDS:
-        assert np.allclose(rows(getattr(a, field)), rows(getattr(b, field)), atol=1e-12)
+        assert np.array_equal(rows(getattr(a, field)), rows(getattr(b, field))), field
 
 
 def test_perturbed_sphere_nonzero_modes():
@@ -204,44 +206,70 @@ def test_tensor_product_point_gives_the_meshgrid_bits(surface, tmp_path):
     for name in vars(ca):
         assert bits(getattr(ca, name)) == bits(getattr(cb, name)), name
     if isinstance(surface, FlatTorus):
+        # A constant radius adds no rho term: every component stays a factor of u alone,
+        # of v alone, or a constant, so no (Nu, Nv) tile is formed for the torus.
         assert [np.shape(x) for x in tp.position] == [(32, 1)] * 2 + [(1, 24)] * 2
+        for name in FIELDS:
+            assert all(np.shape(x) in ((32, 1), (1, 24), ()) for x in getattr(tp, name)), name
 
 
-def _sympy_reference(l, m, r, eps):
-    """Position, its five partials and rho of the (l, m) graph, by sympy.
+def _sympy_reference(surface):
+    """Position, its five partials and rho of a catalog surface, by sympy differentiating
+    the surface's closed-form position in the chart coordinates (u, v).
 
-    Znm is real but expand_func leaves it in complex-exponential form;
+    A psphere's Znm is real but expand_func leaves it in complex-exponential form;
     rewrite to trig and drop the identically-zero imaginary part.
     """
     import sympy as sp
 
-    th, ph = sp.symbols("theta phi", real=True)
-    harmonic = sp.re(sp.expand(sp.expand_func(sp.Znm(l, m, th, ph)).rewrite(sp.cos)))
-    rho = r + eps * harmonic
-    direction = [sp.sin(th) * sp.cos(ph), sp.sin(th) * sp.sin(ph), sp.cos(th)]
-    pos = [sp.sin(rho) * d for d in direction] + [sp.cos(rho)]
-    fields = [pos, [sp.diff(e, ph) for e in pos], [sp.diff(e, th) for e in pos],
-              [sp.diff(e, ph, 2) for e in pos], [sp.diff(e, ph, th) for e in pos],
-              [sp.diff(e, th, 2) for e in pos], rho]
-    return sp.lambdify((ph, th), fields, "numpy", cse=True)
+    u, v = sp.symbols("u v", real=True)
+    if isinstance(surface, FlatTorus):
+        a, b = surface.a, surface.b
+        rho = sp.acos(a)
+        pos = [a * sp.cos(u), a * sp.sin(u), b * sp.cos(v), b * sp.sin(v)]
+    else:  # the sphere chart: u the azimuth, v the polar angle
+        rho = sp.Float(surface.r)
+        if isinstance(surface, PerturbedSphere):
+            harmonic = sp.Znm(surface.l, surface.m, v, u)
+            rho += surface.eps * sp.re(sp.expand(sp.expand_func(harmonic).rewrite(sp.cos)))
+        direction = [sp.sin(v) * sp.cos(u), sp.sin(v) * sp.sin(u), sp.cos(v)]
+        pos = [sp.sin(rho) * d for d in direction] + [sp.cos(rho)]
+    fields = [pos, [sp.diff(e, u) for e in pos], [sp.diff(e, v) for e in pos],
+              [sp.diff(e, u, 2) for e in pos], [sp.diff(e, u, v) for e in pos],
+              [sp.diff(e, v, 2) for e in pos], rho]
+    return sp.lambdify((u, v), fields, "numpy", cse=True)
+
+
+def _assert_matches_sympy(surface, reference, rng):
+    u = rng.uniform(0.0, 2 * PI, 240)
+    if surface.periodic_v:
+        v = rng.uniform(0.0, 2 * PI, 240)
+    else:
+        v = np.concatenate([rng.uniform(0.0, PI, 200), np.repeat([0.0, PI], 20)])
+    *fields, _ = reference(u, v)
+    p = surface.point(u, v)
+    for name, ref in zip(FIELDS, fields):
+        ref = np.stack([np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in ref], -1)
+        got = rows(getattr(p, name))
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (surface.name, name)
+
+
+@pytest.mark.parametrize("surface", [
+    GeodesicSphere(0.8), GeodesicSphere(2.2), FlatTorus(0.6), clifford_torus(),
+], ids=["sphere-0.8", "sphere-2.2", "torus-0.6", "clifford"])
+def test_constant_radius_members_match_sympy_oracle(surface):
+    # Geodesic spheres and flat tori have no partials of their own: the chain rule's
+    # constant-rho case must give their closed forms' derivatives.
+    _assert_matches_sympy(surface, _sympy_reference(surface), np.random.default_rng(8))
 
 
 @pytest.mark.parametrize("l, m", [
     (0, 0), (1, -1), (2, -1), (2, 2), (3, 1), (3, -2), (4, -3), (5, 0), (6, 4),
 ])
 def test_perturbed_sphere_matches_sympy_oracle(l, m):
-    r, eps = 1.2, 0.09
-    ps = PerturbedSphere(r, eps, l, m)
-    reference = _sympy_reference(l, m, r, eps)
-    rng = np.random.default_rng(100 * l + m)
-    u = rng.uniform(0.0, 2 * PI, 240)
-    v = np.concatenate([rng.uniform(0.0, PI, 200), np.repeat([0.0, PI], 20)])
-    *fields, _ = reference(u, v)
-    p = ps.point(u, v)
-    for name, ref in zip(FIELDS, fields):
-        ref = np.stack([np.broadcast_to(np.asarray(c, dtype=float), u.shape) for c in ref], -1)
-        got = rows(getattr(p, name))
-        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (name, l, m)
+    ps = PerturbedSphere(1.2, 0.09, l, m)
+    reference = _sympy_reference(ps)
+    _assert_matches_sympy(ps, reference, np.random.default_rng(100 * l + m))
 
     x = sample_s3(20000, np.random.default_rng(7))
     psi = np.arccos(np.clip(x[:, 3], -1.0, 1.0))
