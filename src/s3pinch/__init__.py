@@ -5,9 +5,7 @@ from .errors import (
     NoSpectralData, NotMinimal, NumericalFailure, OffSampleGrid, OffSphere, ResolutionTooCoarse,
     S3PinchError,
 )
-from .geometry import (
-    CurvatureData, SurfacePoint, cross4, curvature_at, tangent_normal_frame,
-)
+from .geometry import CurvatureData, SurfacePoint, cross4, curvature_at
 from .pinch import (
     RootResult, acot, at_most, beta_pinch, beta_solve, beta_target, cubic_gap,
     eigenvalue_bound_rhs, eigenvalue_bounds, f_inverse, f_pinch, f_series,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import SurfacePoint, dot
-from .pinch import S3_VOLUME, SQRT2
+from .pinch import FOUR_PI_SQ, S3_VOLUME, SQRT2
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,9 +29,10 @@ _EPS_CAP = 0.3
 _MINIMAL_TOL = 1e-9
 # Largest spherical-harmonic degree: (l + |m|)! <= 170! is still a finite double.
 _L_MAX = 85
-# Nodes per direction of the grid on which a PerturbedSphere's radius is checked to lie in
-# (0, pi). Where it does, EG - F^2 = sin^2 rho (rho_phi^2 + sin^2 theta (rho_theta^2 +
-# sin^2 rho)) > 0 off the poles, so the chart is an immersion by construction.
+# Fewest nodes per direction of the grid, poles included, on which a PerturbedSphere's
+# radius is checked to lie in (0, pi); degree l takes 4(l + 1). Where it does, EG - F^2 =
+# sin^2 rho (rho_phi^2 + sin^2 theta (rho_theta^2 + sin^2 rho)) > 0 off the poles, so the
+# chart is an immersion on the probe.
 _RADIUS_PROBE = 24
 
 
@@ -134,7 +135,7 @@ class FlatTorus(Surface):
         self.a = float(a)
         self.b = math.sqrt(1.0 - self.a * self.a)
         self.name = f"torus:a={self.a:.10g}"
-        self.exact_area = 4.0 * math.pi ** 2 * self.a * self.b
+        self.exact_area = FOUR_PI_SQ * self.a * self.b
         self.exact_side_volumes = (S3_VOLUME * self.a ** 2, S3_VOLUME * self.b ** 2)
         self.exact_principal_curvatures = (-self.a / self.b, self.b / self.a)
         if abs(self.a - 1.0 / SQRT2) < _MINIMAL_TOL:  # the Clifford torus
@@ -194,10 +195,9 @@ class PerturbedSphere(_SphereChart):
         q = np.polynomial.legendre.Legendre.basis(self.l).deriv(a)
         self._legendre = (q, q.deriv(), q.deriv(2))
 
-        n = _RADIUS_PROBE
+        n = max(_RADIUS_PROBE, 4 * (self.l + 1))
         rho = self._radius(np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None],
-                           np.linspace(math.pi / (n + 1), math.pi - math.pi / (n + 1), n),
-                           partials=False)
+                           np.linspace(0.0, math.pi, n), partials=False)
         if not np.all((rho > 0.0) & (rho < math.pi)):  # NaN included
             raise DomainError("perturbed radius leaves (0, pi); reduce eps")
 

@@ -75,18 +75,17 @@ def cross4(a: Sequence, b: Sequence, c: Sequence) -> tuple:
     )
 
 
-def first_fundamental_form(p: SurfacePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Metric components (E, F, G) of the parametrization."""
-    return dot(p.du, p.du), dot(p.du, p.dv), dot(p.dv, p.dv)
+def curvature_at(p: SurfacePoint, row0: int = 0) -> CurvatureData:
+    """Principal curvatures and derived invariants at a surface point, each in
+    the batch shape (that of the unit normal, to which the area element is broadcast).
 
-
-def tangent_normal_frame(p: SurfacePoint, row0: int = 0):
-    """Unit normal and metric components at a surface point.
-
-    The normal is the normalized 4-dimensional cross product of
+    The unit normal is the normalized 4-dimensional cross product of
     ``(position, du, dv)``, hence orthogonal to the sphere radius and to both
-    tangent vectors, with a deterministic orientation.  The normal's four
-    components and E, F, G are broadcast to the batch shape.
+    tangent vectors, with a deterministic orientation.  k1 <= k2 are the
+    eigenvalues of the shape operator I^{-1} II, where the second fundamental
+    form is read off the raw 4-space second partials through that normal
+    (components along the sphere radius drop out because the normal is
+    tangent to the 3-sphere).
 
     Raises
     ------
@@ -94,11 +93,7 @@ def tangent_normal_frame(p: SurfacePoint, row0: int = 0):
         If E*G - F^2 <= DEGENERACY_RTOL * E*G at any point of the batch; the
         message names the first, its row offset by ``row0`` (the batch's row in a grid).
     """
-    return _frame(p, row0)[:2]
-
-
-def _frame(p: SurfacePoint, row0: int):  # tangent_normal_frame's return, and E*G - F^2
-    E, F, G = first_fundamental_form(p)
+    E, F, G = dot(p.du, p.du), dot(p.du, p.dv), dot(p.dv, p.dv)
     det = E * G - F * F
     bad = det <= DEGENERACY_RTOL * E * G
     if np.any(bad):
@@ -112,20 +107,7 @@ def _frame(p: SurfacePoint, row0: int):  # tangent_normal_frame's return, and E*
     nu = cross4(p.position, p.du, p.dv)
     # Every component of position, du and dv enters |nu|, so it has the batch shape.
     norm = np.sqrt(dot(nu, nu))
-    return (tuple(x / norm for x in nu),
-            tuple(np.broadcast_to(x, norm.shape) for x in (E, F, G)), det)
-
-
-def curvature_at(p: SurfacePoint, row0: int = 0) -> CurvatureData:
-    """Principal curvatures and derived invariants at a surface point, each in
-    the batch shape (that of the frame, whose E, F, G and area element are broadcast to it).
-
-    k1 <= k2 are the eigenvalues of the shape operator I^{-1} II, where the
-    second fundamental form is read off the raw 4-space second partials
-    through the unit normal (components along the sphere radius drop out
-    because the normal is tangent to the 3-sphere).
-    """
-    nu, (E, F, G), det = _frame(p, row0)
+    nu = tuple(x / norm for x in nu)
     sqrt_det = np.sqrt(det)
     e = dot(p.duu, nu)
     f = dot(p.duv, nu)

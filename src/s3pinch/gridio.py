@@ -75,7 +75,8 @@ class GridSurface(Surface):
     """Surface defined by position samples on a uniform parameter grid, kept with their
     partials as (4, Nu, Nv) arrays; ``positions`` may be 4 components broadcasting to (Nu, Nv).
     FormatError unless `_check_resolution` and `_line_weights` accept the nodes, which are then
-    `_line_rule`'s and tile their domain."""
+    `_line_rule`'s and tile their domain; then OffSphere unless every position's norm is within
+    ON_SPHERE_TOL of 1."""
 
     sampled = True
 
@@ -89,6 +90,10 @@ class GridSurface(Surface):
         if not isinstance(positions, np.ndarray):  # an array is kept, not copied
             positions = np.array(np.broadcast_arrays(*positions))
         self.positions = X = np.asarray(positions, dtype=float)
+        norms = np.linalg.norm(X, axis=0)
+        if np.any(np.abs(norms - 1.0) > ON_SPHERE_TOL):
+            bad = np.unravel_index(int(np.argmax(np.abs(norms - 1.0))), norms.shape)
+            raise OffSphere(f"sample at grid index {bad} has norm {norms[bad]!r}")
         self.domain_u = domain_u
         self.domain_v = domain_v
         self.periodic_u = periodic_u
@@ -244,11 +249,5 @@ def import_surface(path) -> GridSurface:
        not np.allclose(data[:, 1], np.tile(nodes_v, nu)):
         raise FormatError("rows are not row-major over a uniform grid")
 
-    pos = data[:, 2:].T.reshape(4, nu, nv)
-    norms = np.linalg.norm(pos, axis=0)
-    if np.any(np.abs(norms - 1.0) > ON_SPHERE_TOL):
-        bad = np.unravel_index(int(np.argmax(np.abs(norms - 1.0))), norms.shape)
-        raise OffSphere(f"sample at grid index {bad} has norm {norms[bad]!r}")
-
-    return GridSurface(nodes_u, nodes_v, pos, tuple(du), tuple(dv),
+    return GridSurface(nodes_u, nodes_v, data[:, 2:].T.reshape(4, nu, nv), tuple(du), tuple(dv),
                        periodic_u, periodic_v, name=str(path))

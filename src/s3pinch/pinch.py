@@ -265,7 +265,7 @@ def beta_target(g0: int, area: float) -> float:
     _require_finite(area)
     if area <= 0:
         raise DomainError("area must be positive")
-    return 2.0 * g0 * math.pi ** 2 / area
+    return S3_VOLUME * g0 / area
 
 
 def beta_solve(g0: int, area: float) -> RootResult:
@@ -284,7 +284,7 @@ def min_surface_maxA_target(g: int, ambient_volume: float = S3_VOLUME) -> float:
     _require_finite(ambient_volume)
     if not (0.0 < ambient_volume <= S3_VOLUME):
         raise DomainError("ambient volume must lie in (0, 2*pi^2]")
-    return (2.0 * math.pi ** 2 * (g - 1) + ambient_volume) / (
+    return (S3_VOLUME * (g - 1) + ambient_volume) / (
         4.0 * math.pi * ((g + 3) // 2)
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, GenusDetectionFailure, NoSpectralData, NotMinimal, NumericalFailure
 from .geometry import curvature_at
-from .pinch import FOUR_PI_SQ, SQRT2, _f, _hk, _prop1, at_most, eigenvalue_bounds
+from .pinch import FOUR_PI_SQ, S3_VOLUME, SQRT2, _f, _hk, _prop1, at_most, eigenvalue_bounds
 # Not called here: perfbench/tracing.py patches f_pinch in this module; tube imports the others.
 from .pinch import f_pinch, hk_time_integral, prop1_integrand  # noqa: F401
 from .catalog import FlatTorus, Surface
@@ -202,7 +202,7 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
         area=sums.area, total_K=sums.total_K, euler_char=2 - 2 * genus, genus=genus,
         integral_f=sums.integral_f, integral_A3=sums.integral_A3,
         bound_lhs=bound_lhs, bound_rhs=sums.integral_f, slack=sums.integral_f - bound_lhs,
-        cubic_lhs=2.0 * math.pi ** 2 * genus, cubic_rhs=SQRT2 / 3.0 * sums.integral_A3,
+        cubic_lhs=S3_VOLUME * genus, cubic_rhs=SQRT2 / 3.0 * sums.integral_A3,
         convergence=sums.convergence, resolution=grid.resolution,
         gap_integral=gap, gap_below=None if gap is None else _below_gap(gap),
     )

@@ -149,7 +149,7 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
     (sums, report), mc = (_mc_sides(surface, mc_samples, seed, None, node_field)
                           if mc_samples and not surface.sampled else (node_field(), (None, None)))
     sum_rhs = 2.0 * sum(sums.hk_upper)
-    prop1_lhs = FOUR_PI_SQ * report.genus
+    prop1_lhs = report.bound_lhs
     exact = surface.exact_side_volumes
 
     tubes = [TubeReport(

@@ -121,8 +121,12 @@ def test_bad_or_extreme_spec_exits_with_one_line(capsys, spec, code):
         assert captured.err.startswith(f"error: bad surface spec '{spec}': ")
 
 
-def test_perturbed_radius_leaving_0_pi_exits_2(capsys):
-    assert main(["--samples", "0", "check", "psphere:r=0.01,eps=0.3,l=1,m=0"]) == 2
+@pytest.mark.parametrize("spec", [
+    "psphere:r=0.01,eps=0.3,l=1,m=0",
+    "psphere:r=0.05,eps=-0.1,l=20,m=0",  # leaves (0, pi) only near the poles
+])
+def test_perturbed_radius_leaving_0_pi_exits_2(capsys, spec):
+    assert main(["--samples", "0", "check", spec]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "leaves (0, pi)" in err
 

@@ -5,9 +5,9 @@ import pytest
 
 from s3pinch import (
     DegenerateMetric, FlatTorus, GeodesicSphere, SurfacePoint, clifford_torus,
-    cross4, curvature_at, tangent_normal_frame,
+    cross4, curvature_at,
 )
-from s3pinch.geometry import dot, first_fundamental_form
+from s3pinch.geometry import dot
 
 RNG = np.random.default_rng(42)
 
@@ -20,6 +20,13 @@ def rows(vec):
 def comps(x):
     """A (..., 4) array as a component-first 4-vector."""
     return tuple(np.moveaxis(x, -1, 0))
+
+
+def unit_normal(p):
+    """The frame normal, formed here from cross4 and dot: cross4(position, du, dv) normalized."""
+    nu = cross4(p.position, p.du, p.dv)
+    norm = np.sqrt(dot(nu, nu))
+    return tuple(x / norm for x in nu)
 
 
 def random_params(surface, n):
@@ -85,8 +92,8 @@ def test_frame_orthonormality_on_random_points():
     for surface in (GeodesicSphere(0.9), FlatTorus(0.4), clifford_torus()):
         u, v = random_params(surface, 200)
         p = surface.point(u, v)
-        nu, (E, F, G) = tangent_normal_frame(p)
-        nu, pos, du, dv = map(rows, (nu, p.position, p.du, p.dv))
+        E, G = dot(p.du, p.du), dot(p.dv, p.dv)
+        nu, pos, du, dv = map(rows, (unit_normal(p), p.position, p.du, p.dv))
         assert np.allclose(np.linalg.norm(nu, axis=-1), 1.0, atol=1e-12)
         assert np.all(np.abs(np.sum(nu * pos, axis=-1)) < 1e-12)
         assert np.all(np.abs(np.sum(nu * du, axis=-1)) < 1e-12 * np.sqrt(E))
@@ -95,7 +102,7 @@ def test_frame_orthonormality_on_random_points():
 
 def test_clifford_normal_at_origin_of_chart():
     p = clifford_torus().point(0.0, 0.0)
-    nu, _ = tangent_normal_frame(p)
+    nu = unit_normal(p)
     expected = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)
     assert np.allclose(np.abs(rows(nu) @ expected), 1.0, atol=1e-12)
 
@@ -103,7 +110,7 @@ def test_clifford_normal_at_origin_of_chart():
 def test_equator_normal_is_fourth_axis():
     surface = GeodesicSphere(math.pi / 2)
     u, v = random_params(surface, 50)
-    nu = rows(tangent_normal_frame(surface.point(u, v))[0])
+    nu = rows(unit_normal(surface.point(u, v)))
     assert np.allclose(np.abs(nu[..., 3]), 1.0, atol=1e-12)
     assert np.allclose(nu[..., :3], 0.0, atol=1e-12)
 
@@ -116,7 +123,7 @@ def test_degenerate_metric_raises():
         duu=np.zeros(4), duv=np.zeros(4), dvv=np.zeros(4),
     )
     with pytest.raises(DegenerateMetric):
-        tangent_normal_frame(p)
+        curvature_at(p)
 
 
 @pytest.mark.parametrize("axis, index", [(1, (3, 4)), (0, (5, 0))], ids=["v-only", "u-only"])
@@ -130,10 +137,9 @@ def test_degenerate_metric_of_one_parameter_names_the_node(axis, index):
     p = SurfacePoint(position=(np.cos(u) * np.cos(v), np.sin(u) * np.cos(v), np.sin(v), 0.0),
                      du=(0.0, 0.0, 0.0, 1.0), dv=(0.0, 0.0, scale, 0.0),
                      duu=(0.0,) * 4, duv=(0.0,) * 4, dvv=(0.0,) * 4)
-    assert np.shape(first_fundamental_form(p)[2]) == np.shape(scale)
-    for fn in (tangent_normal_frame, curvature_at):
-        with pytest.raises(DegenerateMetric, match=rf"batch index \({index[0]}, {index[1]}\):"):
-            fn(p, row0=3)
+    assert np.shape(dot(p.dv, p.dv)) == np.shape(scale)
+    with pytest.raises(DegenerateMetric, match=rf"batch index \({index[0]}, {index[1]}\):"):
+        curvature_at(p, row0=3)
 
 
 @pytest.mark.parametrize("r", [math.pi / 4, math.pi / 3])
@@ -202,8 +208,7 @@ def test_orientation_flip_property():
         assert np.allclose(cd_rev.gauss_K, cd.gauss_K, atol=1e-10)
         assert np.allclose(cd_rev.k1 ** 2 + cd_rev.k2 ** 2,
                            cd.k1 ** 2 + cd.k2 ** 2, atol=1e-10)
-        assert np.allclose(rows(tangent_normal_frame(swapped)[0]),
-                           -rows(tangent_normal_frame(p)[0]), atol=1e-12)
+        assert np.allclose(rows(unit_normal(swapped)), -rows(unit_normal(p)), atol=1e-12)
         assert np.allclose(cd_rev.area_element, cd.area_element, atol=1e-12)
 
 
@@ -232,7 +237,8 @@ def test_principal_curvatures_satisfy_characteristic_equation():
     for surface in (GeodesicSphere(0.8), FlatTorus(0.45)):
         u, v = random_params(surface, 100)
         p = surface.point(u, v)
-        nu, (E, F, G) = tangent_normal_frame(p)
+        nu = unit_normal(p)
+        E, F, G = dot(p.du, p.du), dot(p.du, p.dv), dot(p.dv, p.dv)
         e = np.sum(rows(p.duu) * rows(nu), axis=-1)
         f = np.sum(rows(p.duv) * rows(nu), axis=-1)
         g = np.sum(rows(p.dvv) * rows(nu), axis=-1)

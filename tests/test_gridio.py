@@ -343,6 +343,18 @@ def test_off_sphere_rejected(tmp_path):
         import_surface(path)
 
 
+def test_grid_surface_built_off_the_sphere_is_rejected():
+    # A GridSurface built in code, not read from a file, is held to S^3 too: a sphere chart
+    # scaled by 1.001 would otherwise pass every link of the sum inequality.
+    sphere = GeodesicSphere(0.9)
+    nodes = [quadrature._line_rule(*domain, 32, periodic, centres=True)[0] for domain, periodic
+             in ((sphere.domain_u, sphere.periodic_u), (sphere.domain_v, sphere.periodic_v))]
+    position = sphere.point(nodes[0][:, None], nodes[1][None, :]).position
+    with pytest.raises(OffSphere, match="has norm"):
+        GridSurface(*nodes, tuple(1.001 * x for x in position), sphere.domain_u,
+                    sphere.domain_v, sphere.periodic_u, sphere.periodic_v)
+
+
 def test_truncated_file_rejected(tmp_path):
     path, _ = _round_trip(tmp_path, clifford_torus(), 32, 32)
     lines = path.read_text().splitlines()

@@ -16,8 +16,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALLOWED_UNREFERENCED = {
     "lemma3_dFds": "the paper's Lemma 3 partial dF/ds",
     "min_surface_maxA_bound": "the paper's max|A| corollary, shown in the README",
-    "tangent_normal_frame": "the frame's public form; curvature_at reads it, with E*G - F^2, "
-                            "through geometry._frame",
 }
 
 
@@ -52,7 +50,7 @@ def test_every_public_name_has_a_caller():
 # Names whose use in the CLI would mean it derives a bound or applies an
 # acceptance rule itself instead of reading a library report's verdict.
 VERDICT_NAMES = {"at_most", "pi", "GAP_THRESHOLD", "exact_lambda1", "eigenvalue_bound_rhs",
-                 "FD_FLOOR_TOL"}
+                 "EULER_ROUNDING_TOL", "MINIMAL_H_TOL"}
 
 
 def test_cli_holds_no_verdict():
@@ -64,3 +62,28 @@ def test_polar_weights_are_only_read_through_the_line_rule():
     # weighs them, for catalog grids and imported files alike.
     files = [*(ROOT / "src" / "s3pinch").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     assert {p.name for p in files if "_polar_weights" in _names(p)} == {"quadrature.py"}
+
+
+def _callers(path: pathlib.Path, callee: str) -> set[str]:
+    """The innermost functions ('<module>' at top level) of a source file that call `callee`."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.add(owner)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_frame_normal_is_only_formed_in_curvature_at():
+    # The unit normal decides side 1 of every certificate; `geometry.curvature_at` is the
+    # one place that forms it, with the metric it checks for degeneracy.
+    callers = {(p.name, owner) for p in (ROOT / "src" / "s3pinch").glob("*.py")
+               for owner in _callers(p, "cross4")}
+    assert callers == {("geometry.py", "curvature_at")}
