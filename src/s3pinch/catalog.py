@@ -27,14 +27,8 @@ TWO_PI = 2.0 * math.pi
 _R_MIN = 1e-3
 _EPS_CAP = 0.3
 _MINIMAL_TOL = 1e-9
-# Largest spherical-harmonic degree: (l + |m|)! <= 170! is still a finite double.
+# Largest spherical-harmonic degree: `_legendre` takes one numpy step per degree.
 _L_MAX = 85
-# Fewest nodes per direction of the grid, poles included, on which a PerturbedSphere's
-# radius is checked to lie in (0, pi); degree l takes 4(l + 1). Where it does, EG - F^2 =
-# sin^2 rho (rho_phi^2 + sin^2 theta (rho_theta^2 + sin^2 rho)) > 0 off the poles, so the
-# chart is an immersion on the probe.
-_RADIUS_PROBE = 24
-
 
 class Surface:
     """Base class: a parametric immersion (u, v) -> S^3 with side data.  A catalog surface
@@ -161,16 +155,33 @@ def clifford_torus() -> FlatTorus:
     return FlatTorus(1.0 / math.sqrt(2.0))
 
 
+def _legendre(l: int, k: int, s, c):
+    """Fully normalised P_l^k = sqrt((2l+1)/(4 pi) (l-k)!/(l+k)!) sin^k(theta) Q(cos theta),
+    Q = d^k P_l/dx^k, from s = sin(theta), c = cos(theta) (over sin^k(theta) with s = 1): the
+    diagonal P_k^k, then one step per degree of Holmes & Featherstone's stable recurrence
+    (J. Geodesy 76:279, 2002). P_l^{-k} = (-1)^k P_l^k, and P_l^k = 0 for |k| > l."""
+    if k < 0:
+        return (-1) ** k * _legendre(l, -k, s, c)
+    if k > l:
+        return 0.0
+    prev, p = 0.0, math.sqrt(math.prod((2 * j + 1) / (2 * j) for j in range(1, k + 1))
+                             / (4.0 * math.pi)) * s ** k
+    for n in range(k + 1, l + 1):
+        d = (n - k) * (n + k)
+        b = math.sqrt((2 * n + 1) * (n + k - 1) * (n - k - 1) / (d * (2 * n - 3)))
+        prev, p = p, math.sqrt((4 * n * n - 1) / d) * c * p - b * prev
+    return p
+
+
 class PerturbedSphere(_SphereChart):
     """Geodesic-polar graph rho = r + eps * Z_lm over the round sphere chart.
 
-    Z_lm is the real spherical harmonic with unit L^2 norm on the 2-sphere:
-    with a = |m|, Q = d^a/dx^a P_l and N its normalisation, Z_lm is
-    N Q(cos theta) for m = 0, (-1)^a sqrt(2) N sin^a(theta) Q(cos theta)
-    cos(a phi) for m > 0 and -sqrt(2) N sin^a(theta) Q(cos theta) sin(a phi)
-    for m < 0.  Its partials are closed forms, so the surface is exactly as
-    smooth as its formula.  Genus-0 test surface with strictly positive
-    pinching integrand for eps != 0.
+    Z_lm, the real spherical harmonic of unit L^2 norm, is P = `_legendre`(l, |m|) for m = 0,
+    (-1)^m sqrt(2) P cos(m phi) for m > 0 and -sqrt(2) P sin(|m| phi) for m < 0.  As |Z_lm| <=
+    sqrt((2l+1)/(4 pi)) (addition theorem), a spec is accepted iff |eps| times that is below
+    min(r, pi - r): then rho lies in (0, pi), EG - F^2 = sin^2 rho (rho_phi^2 + sin^2 theta
+    (rho_theta^2 + sin^2 rho)) > 0 off the poles and side 1 is x4 > cos rho.  Genus-0 test
+    surface with strictly positive pinching integrand for eps != 0.
     """
 
     def __init__(self, r: float, eps: float, l: int, m: int):
@@ -185,54 +196,43 @@ class PerturbedSphere(_SphereChart):
             raise DomainError(f"mode degree l must be <= {_L_MAX}, got {l}")
         self.eps, self.l, self.m = float(eps), int(l), int(m)
         self.name = f"psphere:r={self.r:.10g},eps={self.eps:.10g},l={self.l},m={self.m}"
+        if abs(self.eps) * math.sqrt((self.l + 0.5) / TWO_PI) >= min(self.r, math.pi - self.r):
+            raise DomainError("perturbed radius leaves (0, pi) unless |eps| sqrt((2l+1)/(4 pi))"
+                              " < min(r, pi - r); reduce eps")
+        self._amplitude = self.eps * (SQRT2 * (-1) ** self.m if self.m > 0 else
+                                      -SQRT2 if self.m else 1.0)
 
-        a = abs(self.m)
-        norm = math.sqrt((2 * self.l + 1) / (4.0 * math.pi)
-                         * math.factorial(self.l - a) / math.factorial(self.l + a))
-        if self.m:
-            norm *= SQRT2 * ((-1) ** a if self.m > 0 else -1)
-        self._amplitude = self.eps * norm
-        q = np.polynomial.legendre.Legendre.basis(self.l).deriv(a)
-        self._legendre = (q, q.deriv(), q.deriv(2))
-
-        n = max(_RADIUS_PROBE, 4 * (self.l + 1))
-        rho = self._radius(np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None],
-                           np.linspace(0.0, math.pi, n), partials=False)
-        if not np.all((rho > 0.0) & (rho < math.pi)):  # NaN included
-            raise DomainError("perturbed radius leaves (0, pi); reduce eps")
-
-    def _radius(self, phi, theta, partials=True):
-        """cos(rho), sin(rho) and rho's partials along phi, theta, phi-phi, phi-theta
-        and theta-theta; with partials=False, rho alone.
-
-        The theta factor sin^a * Q(cos) is differentiated by the product rule
-        with no division by sin(theta), so every partial is finite at the
-        poles; s ** max(k, 0) only ever multiplies a zero coefficient.
-        """
-        a, k = abs(self.m), self._amplitude
+    def _radius(self, phi, theta):
+        """cos(rho), sin(rho) and rho's partials along phi, theta, phi-phi, phi-theta and
+        theta-theta.  The theta-partials of f = P_l^a come from the ladder dP_k/dtheta =
+        (alpha_k P_{k-1} - alpha_{-k} P_{k+1}) / 2, alpha_j = sqrt((l+j)(l-j+1)), with no
+        division by sin(theta); applied twice, its middle term is -(l(l+1) - a^2) f / 2."""
+        l, a, k = self.l, abs(self.m), self._amplitude
         s, c = np.sin(theta), np.cos(theta)
-        sa, q0 = s ** a, self._legendre[0](c)
-        f = sa * q0
+        p = {j: _legendre(l, j, s, c) for j in range(a - 2, a + 3)}
+
+        def alpha(*js):  # the product of alpha_j over js: its radicand is never negative
+            return math.sqrt(math.prod((l + j) * (l - j + 1) for j in js))
+        f = p[a]
+        f_t = 0.5 * (alpha(a) * p[a - 1] - alpha(-a) * p[a + 1])
+        f_tt = (0.25 * (alpha(a, a - 1) * p[a - 2] + alpha(-a, -a - 1) * p[a + 2])
+                - 0.5 * (l * (l + 1) - a * a) * f)
         g = np.cos(a * phi) if self.m >= 0 else np.sin(a * phi)
-        rho = self.r + k * f * g
-        if not partials:
-            return rho
-        q1, q2 = self._legendre[1](c), self._legendre[2](c)
-        f_t = a * s ** max(a - 1, 0) * c * q0 - s ** (a + 1) * q1
-        f_tt = (a * (a - 1) * s ** max(a - 2, 0) * c * c * q0 - a * sa * q0
-                - (2 * a + 1) * sa * c * q1 + s ** (a + 2) * q2)
         g_p = -a * np.sin(a * phi) if self.m >= 0 else a * np.cos(a * phi)
-        g_pp = -a * a * g
+        rho = self.r + k * f * g
         return (np.cos(rho), np.sin(rho), k * f * g_p, k * f_t * g,
-                k * f * g_pp, k * f_t * g_p, k * f_tt * g)
+                k * f * (-a * a * g), k * f_t * g_p, k * f_tt * g)
 
     def side_classifier(self, x: np.ndarray) -> np.ndarray:
+        """x4 > cos rho: cos theta = x3/|x'| and sin^a(theta) e^{ia phi} = ((x1 + i x2)/|x'|)^a."""
         x = np.asarray(x, dtype=float)
-        psi = np.arccos(np.clip(x[..., 3], -1.0, 1.0))
-        rad = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
-        theta = np.arccos(np.clip(np.divide(x[..., 2], np.where(rad == 0, 1.0, rad)), -1.0, 1.0))
-        phi = np.arctan2(x[..., 1], x[..., 0])
-        return psi < self._radius(phi, theta, partials=False)
+        # |x'| = 0 only at x = +-e4, where x4 alone decides: any direction will do there
+        rad = np.maximum(np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2), 1e-300)
+        f = _legendre(self.l, abs(self.m), 1, x[..., 2] / rad)
+        if self.m:
+            z = ((x[..., 0] + 1j * x[..., 1]) / rad) ** abs(self.m)
+            f = f * (z.real if self.m > 0 else z.imag)
+        return x[..., 3] > np.cos(self.r + self._amplitude * f)
 
 
 def sample_s3(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,29 +33,27 @@ SPACING_RTOL = 1e-9  # node spacing, and nodes off `_line_rule`'s, relative to t
 MIN_PERIODIC_RESOLUTION = 16
 
 
-def _derivative(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    """d^order/dx^order along a periodic axis of nodes spaced h, through its discrete Fourier
-    series: exact for every Fourier mode its n samples resolve (Trefethen 2000, ch. 3)."""
-    vals = np.moveaxis(values, axis, 0)
-    n = len(vals)
-    ik = 2j * np.pi * np.fft.rfftfreq(n, h)  # period n*h
-    spectrum = (np.fft.rfft(vals, axis=0).T * ik ** order).T  # .T: broadcast along axis 0
-    # irfft reads an even n's Nyquist term as real, dropping its odd derivatives (0 at nodes)
-    return np.moveaxis(np.fft.irfft(spectrum, n, axis=0), 0, axis)
-
-
-def _polar_derivative(x: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    """d^order/dx^order along the polar axis of one component's 2-D samples, whose other axis
-    is periodic. Across a pole x(-s, u) = x(s, u + half turn), so the n cell-centre samples,
-    then the same reversed and half-turned, are a periodic line of 2n nodes (the double
-    Fourier sphere; Townsend, Wilber & Wright 2016); the partial is the first n values of
-    its derivative. The half turn multiplies Fourier mode m by (-1)^m, exact for every mode
-    the samples resolve, for an odd node count too."""
+def _partials(x: np.ndarray, axis: int, h: float, periodic: bool, out) -> None:
+    """Write into out the first and, given a second array, the second derivative of one
+    component's 2-D samples along an axis of nodes spaced h, from one discrete Fourier series:
+    exact for every Fourier mode the samples resolve (Trefethen 2000, ch. 3). A polar axis,
+    whose other axis is periodic, is continued across both poles: x(-s, u) = x(s, u + half
+    turn), so its n cell-centre samples, then the same reversed and half-turned, are a periodic
+    line of 2n nodes (the double Fourier sphere; Townsend, Wilber & Wright 2016) whose
+    derivatives' first n values are the partials. The half turn multiplies Fourier mode m by
+    (-1)^m, exact for every mode the samples resolve, for an odd node count too."""
     x = np.moveaxis(x, axis, 1)
-    turn = (-1.0) ** np.arange(len(x) // 2 + 1)[:, None]
-    turned = np.fft.irfft(np.fft.rfft(x, axis=0) * turn, len(x), axis=0)
-    line = np.concatenate([x, turned[:, ::-1]], axis=1)
-    return np.moveaxis(_derivative(line, 1, h, order)[:, :x.shape[1]], 1, axis)
+    n = m = x.shape[1]
+    if periodic:
+        spectrum = np.fft.rfft(x, axis=1)
+    else:  # the continued line is not kept: only its spectrum is
+        turn = (-1.0) ** np.arange(len(x) // 2 + 1)[:, None]
+        turned = np.fft.irfft(np.fft.rfft(x, axis=0) * turn, len(x), axis=0)
+        spectrum, m = np.fft.rfft(np.concatenate([x, turned[:, ::-1]], axis=1), axis=1), 2 * n
+    ik = 2j * np.pi * np.fft.rfftfreq(m, h)  # period m * h
+    for y, k in zip(out, (1, 2)):
+        # irfft reads an even n's Nyquist term as real, dropping its odd derivatives (0 at nodes)
+        y[...] = np.moveaxis(np.fft.irfft(spectrum * ik ** k, m, axis=1)[:, :n], 1, axis)
 
 
 def _check_resolution(nu: int, nv: int, periodic_u: bool, periodic_v: bool) -> None:
@@ -92,29 +90,21 @@ class GridSurface(Surface):
         self.positions = X = np.asarray(positions, dtype=float)
         norms = np.linalg.norm(X, axis=0)
         if np.any(np.abs(norms - 1.0) > ON_SPHERE_TOL):
-            bad = np.unravel_index(int(np.argmax(np.abs(norms - 1.0))), norms.shape)
-            raise OffSphere(f"sample at grid index {bad} has norm {norms[bad]!r}")
+            bad = tuple(map(int, np.unravel_index(np.argmax(np.abs(norms - 1.0)), norms.shape)))
+            raise OffSphere(f"sample at grid index {bad} has norm {float(norms[bad])!r}")
         self.domain_u = domain_u
         self.domain_v = domain_v
         self.periodic_u = periodic_u
         self.periodic_v = periodic_v
         self.name = name
 
-        axes = ((self.nodes_u[1] - self.nodes_u[0], periodic_u),
-                (self.nodes_v[1] - self.nodes_v[0], periodic_v))
-
-        def partial(values, axis, order):  # along axis 1 (u) or 2 (v) of a (4, Nu, Nv) field
-            h, periodic = axes[axis - 1]
-            if periodic:
-                return _derivative(values, axis, h, order)
-            out = np.empty_like(values)
-            for x, y in zip(values, out):  # a component at a time keeps the peak memory low
-                y[...] = _polar_derivative(x, axis - 1, h, order)
-            return out
-
-        du = partial(X, 1, 1)
-        self._fields = (X, du, partial(X, 2, 1), partial(X, 1, 2), partial(du, 2, 1),
-                        partial(X, 2, 2))
+        hu, hv = self.nodes_u[1] - self.nodes_u[0], self.nodes_v[1] - self.nodes_v[0]
+        fields = np.empty((5, *X.shape))  # du, dv, duu, duv, dvv, a component at a time
+        for x, (du, dv, duu, duv, dvv) in zip(X, fields.transpose(1, 0, 2, 3)):
+            _partials(x, 0, hu, periodic_u, (du, duu))
+            _partials(x, 1, hv, periodic_v, (dv, dvv))
+            _partials(du, 1, hv, periodic_v, (duv,))
+        self._fields = (X, *fields)
 
     def _indices(self, coords, nodes) -> np.ndarray:
         h = nodes[1] - nodes[0]

@@ -281,6 +281,58 @@ def test_perturbed_sphere_matches_sympy_oracle(l, m):
     assert np.array_equal(ps.side_classifier(x), psi < rho)
 
 
+def _exact_harmonic(l, a, theta):
+    """Z_la at phi = 0 and its first two theta-partials, (-1)^a sqrt(2) N d^k/dtheta^k of
+    sin^a(theta) Q(cos theta), Q = d^a P_l / dx^a, from P_l's exact integer coefficients
+    (Rodrigues) by the product rule in 150-digit arithmetic: no recurrence is involved."""
+    import mpmath as mp
+
+    with mp.workdps(150):
+        poly = {l - 2 * j: (-1) ** j * math.comb(l, j) * math.comb(2 * l - 2 * j, l)
+                for j in range(l // 2 + 1)}  # 2^l P_l
+
+        def q(x, n):  # d^(a+n) P_l / dx^(a+n) at x
+            return sum(cp * math.perm(p, a + n) * x ** (p - a - n)
+                       for p, cp in poly.items() if p >= a + n) / mp.mpf(2) ** l
+
+        scale = (-1) ** a * mp.sqrt(2 * (2 * l + 1) / (4 * mp.pi)
+                                    * mp.factorial(l - a) / mp.factorial(l + a))
+        out = []
+        for t in theta:
+            s, c = mp.sin(mp.mpf(t)), mp.cos(mp.mpf(t))
+            q0, q1, q2 = q(c, 0), q(c, 1), q(c, 2)
+            out.append([scale * v for v in (
+                s ** a * q0, a * s ** (a - 1) * c * q0 - s ** (a + 1) * q1,
+                a * (a - 1) * s ** (a - 2) * c * c * q0 - a * s ** a * q0
+                - (2 * a + 1) * s ** a * c * q1 + s ** (a + 2) * q2)])
+        return np.array(out, dtype=float).T
+
+
+@pytest.mark.parametrize("l, m", [(85, 43), (60, 30), (85, 10)])
+def test_high_degree_harmonic_matches_exact_expansion(l, m):
+    # Z_lm and its theta-partials hold to rounding at the largest degrees, poles included.
+    theta = np.linspace(0.0, PI, 61)
+    eps = 0.3
+    ps = PerturbedSphere(PI / 2, eps, l, m)
+    c, s, _, rho_t, _, _, rho_tt = ps._radius(0.0, theta)
+    got = np.array([np.arctan2(s, c) - PI / 2, rho_t, rho_tt]) / eps
+    for name, g, ref in zip(("f", "f_theta", "f_thetatheta"), got, _exact_harmonic(l, m, theta)):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref))), name
+
+
+@pytest.mark.parametrize("l, m", [(2, 0), (6, 3), (4, -3), (8, -8)])
+def test_side_classifier_matches_polar_angle_route(l, m):
+    # x4 > cos rho gives the bits of psi < rho with psi, theta, phi from arccos and arctan2.
+    ps = PerturbedSphere(1.2, 0.25, l, m)
+    x = sample_s3(100_000, np.random.default_rng(1000 + 100 * l + m))
+    psi = np.arccos(np.clip(x[:, 3], -1.0, 1.0))
+    theta = np.arccos(np.clip(x[:, 2] / np.linalg.norm(x[:, :3], axis=1), -1.0, 1.0))
+    c, s = ps._radius(np.arctan2(x[:, 1], x[:, 0]), theta)[:2]
+    got = ps.side_classifier(x)
+    assert np.array_equal(got, psi < np.arctan2(s, c))
+    assert np.any(got != GeodesicSphere(1.2).side_classifier(x))
+
+
 def test_import_does_not_load_sympy():
     # numpy is the only runtime dependency; a stray import fails here.  Nor may the
     # CLI load concurrent.futures: that import alone costs a cold process milliseconds.
@@ -292,6 +344,20 @@ def test_import_does_not_load_sympy():
     code = ("import sys, s3pinch.cli; assert 'sympy' not in sys.modules, 'sympy loaded'; "
             "assert 'concurrent' not in sys.modules, 'concurrent loaded'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_psphere_check_does_not_load_numpy_polynomial():
+    # A perturbed sphere's harmonic comes from its own recurrence: a cold check process
+    # never pays for importing numpy.polynomial.
+    import s3pinch
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(s3pinch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, s3pinch.cli; s3pinch.cli.main(['--samples', '1000', '--resolution', "
+            "'16', 'check', 'psphere:r=1.0,eps=0.1,l=2,m=0']); "
+            "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def test_parse_surface():

@@ -104,7 +104,7 @@ def test_check_bad_surface_spec_exits_2(capsys):
 
 
 @pytest.mark.parametrize("spec, code", [
-    ("psphere:r=1,eps=0.1,l=171,m=0", 2),  # these three overflowed float(factorial(l))
+    ("psphere:r=1,eps=0.1,l=171,m=0", 2),  # these three exceed the degree cap _L_MAX = 85
     ("psphere:r=1,eps=0.1,l=86,m=86", 2),
     ("psphere:r=1,eps=0.1,l=99999999999999999999,m=0", 2),
     ("psphere:r=1,eps=0.1,l=85,m=85", 4),  # the largest degree: unresolved at 64^2
@@ -124,6 +124,7 @@ def test_bad_or_extreme_spec_exits_with_one_line(capsys, spec, code):
 @pytest.mark.parametrize("spec", [
     "psphere:r=0.01,eps=0.3,l=1,m=0",
     "psphere:r=0.05,eps=-0.1,l=20,m=0",  # leaves (0, pi) only near the poles
+    "psphere:r=0.05,eps=0.0247,l=85,m=-43",  # beyond the bound, though max |eps Z_lm| = 0.025
 ])
 def test_perturbed_radius_leaving_0_pi_exits_2(capsys, spec):
     assert main(["--samples", "0", "check", spec]) == 2

@@ -18,7 +18,7 @@ from s3pinch.errors import (
     FormatError, OffSampleGrid, OffSphere, ResolutionTooCoarse, S3PinchError,
 )
 from s3pinch.geometry import SurfacePoint
-from s3pinch.gridio import GridSurface, _derivative, export_grid, import_surface
+from s3pinch.gridio import GridSurface, _partials, export_grid, import_surface
 from s3pinch.pinch import f_pinch
 from s3pinch.quadrature import genus_report, make_grid, node_sums
 from s3pinch.tube import CHAIN_TOL, verify_sum_inequality
@@ -184,15 +184,17 @@ def test_periodic_derivative_is_exact_on_trig_polynomials(n, order):
     h = 2.0 * math.pi / n
     x = h * np.arange(n)
     k = np.arange(n // 2 + 1)[:, None]
-    for axis, shape in ((0, (n, 3, 4)), (1, (3, n, 4))):
+    for axis, shape in ((0, (n, 3)), (1, (3, n))):
         a, b = rng.uniform(-1.0, 1.0, (2, len(k), 1))
         b[k == n / 2] = 0.0  # sin(n x / 2) is 0 at every node
         f = (a * np.cos(k * x) + b * np.sin(k * x)).sum(axis=0)
         phase = k * x + order * math.pi / 2  # d/dx shifts cos and sin by a quarter turn
         exact = (k ** order * (a * np.cos(phase) + b * np.sin(phase))).sum(axis=0)
-        along = [-1 if d == axis else 1 for d in range(3)]
+        along = [-1 if d == axis else 1 for d in range(2)]
         values = np.broadcast_to(f.reshape(along), shape).copy()
-        got = _derivative(values, axis, h, order)
+        got = np.empty((2, *shape))
+        _partials(values, axis, h, True, got)
+        got = got[order - 1]
         err = np.abs(got - exact.reshape(along))
         assert np.max(err) <= 1e-12 * np.max(np.abs(exact))
 
@@ -350,7 +352,7 @@ def test_grid_surface_built_off_the_sphere_is_rejected():
     nodes = [quadrature._line_rule(*domain, 32, periodic, centres=True)[0] for domain, periodic
              in ((sphere.domain_u, sphere.periodic_u), (sphere.domain_v, sphere.periodic_v))]
     position = sphere.point(nodes[0][:, None], nodes[1][None, :]).position
-    with pytest.raises(OffSphere, match="has norm"):
+    with pytest.raises(OffSphere, match=r"grid index \(\d+, \d+\) has norm 1\.00"):
         GridSurface(*nodes, tuple(1.001 * x for x in position), sphere.domain_u,
                     sphere.domain_v, sphere.periodic_u, sphere.periodic_v)
 
