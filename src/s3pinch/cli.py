@@ -16,7 +16,7 @@ import sys
 from . import catalog, gridio, pinch, quadrature, tube
 from .errors import DomainError, NumericalFailure, S3PinchError
 
-SCHEMA = 1
+SCHEMA = 2
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BOUND = 3
@@ -28,7 +28,7 @@ MAX_SAMPLES = 10 ** 9
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -51,11 +51,17 @@ def _emit(args, command: str, fields: dict) -> None:
             print(f"{key}: {val}")
 
 
+def _certify(args, command: str, surface, report, **fields) -> int:
+    """Print a report decided by its links with their `checks` and `pass`; exit from `passed`."""
+    _emit(args, command, {"surface": surface.name, **vars(report), "checks": report.checks,
+                          "pass": report.passed, **fields})
+    return EXIT_OK if report.passed else EXIT_BOUND
+
+
 def _check_surface(surface, grid, args, **fields) -> int:
     cert = tube.verify_sum_inequality(surface, grid, mc_samples=args.samples,
                                       seed=args.seed, tol=args.tol)
-    _emit(args, "check", {"surface": surface.name, **vars(cert), "pass": cert.passed, **fields})
-    return EXIT_OK if cert.passed else EXIT_BOUND
+    return _certify(args, "check", surface, cert, **fields)
 
 
 def _cmd_check(args) -> int:
@@ -100,9 +106,7 @@ def _cmd_gap(args) -> int:
 def _cmd_eigen(args) -> int:
     surface = catalog.parse_surface(args.surface)
     grid = quadrature.make_grid(surface, args.resolution, args.resolution)
-    rep = quadrature.eigen_report(surface, grid, args.tol)
-    _emit(args, "eigen", {"surface": surface.name, **vars(rep)})
-    return EXIT_OK if rep.passed else EXIT_BOUND
+    return _certify(args, "eigen", surface, quadrature.eigen_report(surface, grid, args.tol))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,13 +45,39 @@ def at_most(lhs: float, rhs: float, tol: float) -> bool:
     return bool(lhs <= rhs + tol * (1.0 + abs(rhs)))
 
 
+@dataclass(frozen=True)
+class Link:
+    """One inequality lhs <= rhs of a certificate, at tolerance tol.  margin is
+    rhs + tol*(1 + |rhs|) - lhs, >= 0 exactly when `at_most` accepts the link."""
+
+    lhs: float
+    rhs: float
+    tol: float
+    margin: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "margin", self.rhs + self.tol * (1.0 + abs(self.rhs)) - self.lhs)
+
+
+class Verdict:
+    """A report decided by its `links` ({name: Link}) through `at_most`, and nothing else."""
+
+    @property
+    def checks(self) -> dict[str, bool]:
+        return {name: at_most(k.lhs, k.rhs, k.tol) for name, k in self.links.items()}
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
+
+
 def _require_finite(*xs) -> None:
     for x in xs:
         if not np.all(np.isfinite(x)):
             raise DomainError("non-finite input")
 
 
-# Domain rules of `elementwise`: where the predicate holds, DomainError(message).
+# Domain rules of `elementwise`: where the predicate is true, DomainError(message).
 _NONNEG = (lambda t: t < 0, "argument must be >= 0")
 _ORDERED = (lambda k1, k2: k1 > k2, "requires k1 <= k2")
 _T_NONNEG = (lambda t, s: t < 0, "requires t >= 0")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, GenusDetectionFailure, NoSpectralData, NotMinimal, NumericalFailure
 from .geometry import curvature_at
-from .pinch import FOUR_PI_SQ, S3_VOLUME, SQRT2, _f, _hk, _prop1, at_most, eigenvalue_bounds
+from .pinch import FOUR_PI_SQ, SQRT2, Link, Verdict, _f, _hk, _prop1, eigenvalue_bounds
 # Not called here: perfbench/tracing.py patches f_pinch in this module; tube imports the others.
 from .pinch import f_pinch, hk_time_integral, prop1_integrand  # noqa: F401
 from .catalog import FlatTorus, Surface
@@ -156,11 +156,8 @@ class GenusReport:
     genus: int
     integral_f: float       # integral of f(|Aring|)
     integral_A3: float      # integral of |Aring|^3
-    bound_lhs: float        # 4 pi^2 genus
     bound_rhs: float        # equals integral_f for the unit 3-sphere ambient
-    slack: float
-    cubic_lhs: float        # 2 pi^2 genus
-    cubic_rhs: float        # (sqrt(2)/3) integral of |Aring|^3
+    slack: float            # integral_f - 4 pi^2 genus
     convergence: float | None   # relative change of integral_f under the grid's nested half rule
     resolution: tuple[int, int]
     # Gap-theorem certificate, populated when max |H| <= MINIMAL_H_TOL only.
@@ -196,13 +193,11 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
     """
     sums = node_sums(surface, grid) if nodes is None else nodes
     genus = _genus(sums)
-    bound_lhs = FOUR_PI_SQ * genus
     gap = sums.integral_absA3 if _is_minimal(sums) else None
     return GenusReport(
         area=sums.area, total_K=sums.total_K, euler_char=2 - 2 * genus, genus=genus,
         integral_f=sums.integral_f, integral_A3=sums.integral_A3,
-        bound_lhs=bound_lhs, bound_rhs=sums.integral_f, slack=sums.integral_f - bound_lhs,
-        cubic_lhs=S3_VOLUME * genus, cubic_rhs=SQRT2 / 3.0 * sums.integral_A3,
+        bound_rhs=sums.integral_f, slack=sums.integral_f - FOUR_PI_SQ * genus,
         convergence=sums.convergence, resolution=grid.resolution,
         gap_integral=gap, gap_below=None if gap is None else _below_gap(gap),
     )
@@ -215,7 +210,6 @@ class GapReport:
     integral_A3: float      # integral of |A|^3
     threshold: float
     below_threshold: bool
-    certificate: str
     convergence: float | None   # as in GenusReport
 
 
@@ -224,26 +218,18 @@ def gap_report(surface: Surface, grid: QuadratureGrid) -> GapReport:
     sums = node_sums(surface, grid)
     if not _is_minimal(sums):
         raise NotMinimal(f"max |H| = {sums.max_H:.3e} > {MINIMAL_H_TOL:g}")
-    below = _below_gap(sums.integral_absA3)
-    return GapReport(sums.integral_absA3, GAP_THRESHOLD, below,
-                     "below threshold (equator range)" if below else "above threshold",
+    return GapReport(sums.integral_absA3, GAP_THRESHOLD, _below_gap(sums.integral_absA3),
                      sums.convergence)
 
 
 @dataclass(frozen=True)
-class EigenReport:
-    """lambda_1 * Area against each of `eigenvalue_bounds`, under `at_most`'s rule."""
+class EigenReport(Verdict):
+    """One link per bound of `eigenvalue_bounds`, each with lhs lambda_1 * Area."""
 
     lambda1: float
-    lambda1_area: float
-    bounds: dict[str, float]
-    holds: dict[str, bool]
+    links: dict[str, Link]
     equality_discrepancy: str | None    # set for the Clifford torus only
     convergence: float | None           # as in GenusReport
-
-    @property
-    def passed(self) -> bool:
-        return all(self.holds.values())
 
 
 def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenReport:
@@ -260,8 +246,8 @@ def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenRep
             f"({lam_area:.6f}) differs from the bound 16*pi ({bounds['pinching']:.6f}); "
             "both values reported, equality not asserted"
         )
-    holds = {name: at_most(lam_area, bound, tol) for name, bound in bounds.items()}
-    return EigenReport(surface.exact_lambda1, lam_area, bounds, holds, note, sums.convergence)
+    links = {name: Link(lam_area, bound, tol) for name, bound in bounds.items()}
+    return EigenReport(surface.exact_lambda1, links, note, sums.convergence)
 
 
 def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int) -> list[dict]:
@@ -274,9 +260,8 @@ def sweep_tori(a_min: float, a_max: float, steps: int, resolution: int) -> list[
     for a in np.linspace(a_min, a_max, steps):
         surface = FlatTorus(float(a))
         k1, k2 = surface.exact_principal_curvatures
-        sums = node_sums(surface, make_grid(surface, resolution, resolution))
-        rows.append({"a": float(a), "area": sums.area, "traceless_norm": (k2 - k1) / SQRT2,
-                     "integral_f": sums.integral_f,
-                     "slack": sums.integral_f - FOUR_PI_SQ * _genus(sums)})
+        rep = genus_report(surface, make_grid(surface, resolution, resolution))
+        rows.append({"a": float(a), "area": rep.area, "traceless_norm": (k2 - k1) / SQRT2,
+                     "integral_f": rep.integral_f, "slack": rep.slack})
     return rows
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import Surface, sample_s3
 from .errors import DomainError
-from .pinch import FOUR_PI_SQ, S3_VOLUME, at_most
+from .pinch import FOUR_PI_SQ, S3_VOLUME, SQRT2, Link, Verdict
 from .quadrature import GenusReport, QuadratureGrid, genus_report, node_sums
 # Not called here: perfbench/tracing.py patches these names in this module.
 from .quadrature import _node_data, hk_time_integral, prop1_integrand  # noqa: F401
@@ -42,7 +42,7 @@ MC_WORKER_SAMPLES = 2 ** 18
 
 @dataclass(frozen=True)
 class TubeReport:
-    """Per-side tube-volume bound plus the inequality-chain summary."""
+    """Per-side tube-volume bound, the side's exact and Monte-Carlo volumes and focal times."""
 
     side: int
     hk_upper: float
@@ -50,24 +50,16 @@ class TubeReport:
     mc_volume: tuple[float, float] | None  # (estimate, stderr)
     focal_min: float
     focal_max: float
-    sum_lhs: float    # 2|M| = 4 pi^2
-    sum_rhs: float    # twice the sum of the two per-side bounds
-    prop1_lhs: float  # 4 pi^2 genus
-    prop1_rhs: float  # integral of the genus-bound integrand
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Verdict):
     """Everything a `check` certificate decides on: the genus report, both
-    tube reports, and whether each link of the chain holds."""
+    tube reports, and the links of the chain."""
 
     genus_report: GenusReport
     tube_reports: tuple[TubeReport, TubeReport]
-    checks: dict[str, bool]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
+    links: dict[str, Link]
 
 
 def side_upper_bound(surface: Surface, side: int, grid: QuadratureGrid) -> float:
@@ -114,7 +106,7 @@ def _mc_sides(surface: Surface, n_samples: int, seed: int, samples, meanwhile=No
         first_error["exc"] = exc
     for t in threads:
         t.join()
-    if first_error:  # pop, so no frame in its traceback still holds the exception
+    if first_error:  # pop, so no frame in its traceback still keeps the exception
         raise first_error.pop("exc")
     k = sum(counts)
     return result, tuple((S3_VOLUME * p, S3_VOLUME * math.sqrt(p * (1.0 - p) / n))
@@ -133,10 +125,10 @@ def monte_carlo_volume(surface: Surface, side: int, n_samples: int = DEFAULT_SAM
 def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
                           mc_samples: int | None = None, seed: int = 0,
                           tol: float = CHAIN_TOL) -> ChainReport:
-    """Evaluate every link of the genus-bound inequality chain, each under
-    `at_most`'s rule at ``tol``, from one pass of `node_sums` over the grid.
+    """Every link of the genus-bound inequality chain at ``tol``, from one pass of
+    `node_sums` over the grid; `Verdict` decides them.
 
-    checks: theorem2 (4 pi^2 g <= integral of f(|Aring|)), cubic (2 pi^2 g <=
+    links: theorem2 (4 pi^2 g <= integral of f(|Aring|)), cubic (2 pi^2 g <=
     (sqrt(2)/3) integral of |Aring|^3), sum_bound (2|M| <= 2*(bound_1 +
     bound_2)), genus_bound (4 pi^2 g <= integral of the genus-bound integrand)
     and, with exact side volumes, hk_side1/2 (volume <= bound).  A failed link
@@ -148,24 +140,21 @@ def verify_sum_inequality(surface: Surface, grid: QuadratureGrid,
 
     (sums, report), mc = (_mc_sides(surface, mc_samples, seed, None, node_field)
                           if mc_samples and not surface.sampled else (node_field(), (None, None)))
-    sum_rhs = 2.0 * sum(sums.hk_upper)
-    prop1_lhs = report.bound_lhs
+    g = report.genus
     exact = surface.exact_side_volumes
 
     tubes = [TubeReport(
         side=i + 1, hk_upper=sums.hk_upper[i],
         exact_volume=None if exact is None else exact[i], mc_volume=mc[i],
         focal_min=sums.focal_min[i], focal_max=sums.focal_max[i],
-        sum_lhs=FOUR_PI_SQ, sum_rhs=sum_rhs,
-        prop1_lhs=prop1_lhs, prop1_rhs=sums.integral_prop1,
     ) for i in (0, 1)]
-    checks = {
-        "theorem2": at_most(report.bound_lhs, report.bound_rhs, tol),
-        "cubic": at_most(report.cubic_lhs, report.cubic_rhs, tol),
-        "sum_bound": at_most(FOUR_PI_SQ, sum_rhs, tol),
-        "genus_bound": at_most(prop1_lhs, sums.integral_prop1, tol),
+    links = {
+        "theorem2": Link(FOUR_PI_SQ * g, sums.integral_f, tol),
+        "cubic": Link(S3_VOLUME * g, SQRT2 / 3.0 * sums.integral_A3, tol),
+        "sum_bound": Link(FOUR_PI_SQ, 2.0 * sum(sums.hk_upper), tol),
+        "genus_bound": Link(FOUR_PI_SQ * g, sums.integral_prop1, tol),
     }
     for t in tubes:
         if t.exact_volume is not None:
-            checks[f"hk_side{t.side}"] = at_most(t.exact_volume, t.hk_upper, tol)
-    return ChainReport(report, tuple(tubes), checks)
+            links[f"hk_side{t.side}"] = Link(t.exact_volume, t.hk_upper, tol)
+    return ChainReport(report, tuple(tubes), links)

@@ -275,7 +275,7 @@ def test_c9_eigen_certificates(capsys):
     code = main(["--resolution", "32", "eigen", f"torus:a={SQRT_HALF:.16f}"])
     doc = json.loads(capsys.readouterr().out)
     ok &= code == 0
-    lam_area = doc["lambda1_area"]
+    lam_area = doc["links"]["pinching"]["lhs"]
     ok &= abs(lam_area - FOUR_PI_SQ) < 1e-9 and lam_area < 16.0 * math.pi
     ok &= doc["equality_discrepancy"] is not None
     report("C9 eigen-certificates", ok,

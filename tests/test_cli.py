@@ -46,7 +46,7 @@ def test_check_clifford_equalities(capsys):
         capsys, "--resolution", "32", "--samples", "20000",
         "check", f"torus:a={SQRT_HALF:.10f}")
     assert code == 0
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["genus_report"]["genus"] == 1
     assert abs(doc["genus_report"]["slack"]) < 1e-6
     assert all(doc["checks"].values())
@@ -267,7 +267,7 @@ def test_gap_non_minimal_exits_2(capsys):
 def test_eigen_sphere(capsys):
     code, doc = run_json(capsys, "--resolution", "32", "eigen", "sphere:r=1.0")
     assert code == 0
-    assert all(doc["holds"].values())
+    assert all(doc["checks"].values())
     assert doc["equality_discrepancy"] is None
 
 
@@ -275,8 +275,8 @@ def test_eigen_clifford_flags_discrepancy(capsys):
     code, doc = run_json(capsys, "--resolution", "32", "eigen",
                          f"torus:a={SQRT_HALF:.16f}")
     assert code == 0
-    assert all(doc["holds"].values())
-    assert doc["lambda1_area"] == pytest.approx(4.0 * math.pi ** 2, rel=1e-9)
+    assert all(doc["checks"].values())
+    assert doc["links"]["pinching"]["lhs"] == pytest.approx(4.0 * math.pi ** 2, rel=1e-9)
     note = doc["equality_discrepancy"]
     assert note is not None and "not asserted" in note
 
@@ -288,7 +288,7 @@ def test_eigen_planted_lambda1_above_bound_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "parse_surface", lambda spec: sphere)
     code, doc = run_json(capsys, "--resolution", "32", "eigen", "sphere:r=1.0")
     assert code == 3
-    assert doc["holds"]["pinching"] is False
+    assert doc["checks"]["pinching"] is False
 
 
 def test_eigen_no_spectral_data_exits_2(capsys):
@@ -495,10 +495,41 @@ def test_json_output_is_deterministic(capsys):
 def test_provenance_fields(capsys):
     _, doc = run_json(capsys, "--resolution", "16", "--samples", "10000",
                       "--seed", "9", "check", "sphere:r=1.0")
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["resolution"] == 16
     assert doc["seed"] == 9
     assert doc["samples"] == 10000
+
+
+def test_schema_2_documents_hold_exactly_their_keys(capsys, tmp_path):
+    # A link's inputs are printed once, in `links`: a copied field coming back fails here.
+    export_grid(FlatTorus(0.6), 32, 32, tmp_path / "torus.csv")
+    provenance = {"schema", "resolution", "seed", "samples", "command", "surface"}
+    chain = {"theorem2", "cubic", "sum_bound", "genus_bound"}
+    genus = {"area", "total_K", "euler_char", "genus", "integral_f", "integral_A3", "bound_rhs",
+             "slack", "convergence", "resolution", "gap_integral", "gap_threshold", "gap_below"}
+    side = {"side", "hk_upper", "exact_volume", "mc_volume", "focal_min", "focal_max"}
+    for argv, keys, links in (
+        (["check", "torus:a=0.6"], {"genus_report", "tube_reports"},
+         chain | {"hk_side1", "hk_side2"}),
+        (["import", str(tmp_path / "torus.csv")], {"genus_report", "tube_reports"}, chain),
+        (["eigen", f"torus:a={SQRT_HALF:.16f}"],
+         {"lambda1", "equality_discrepancy", "convergence"}, {"pinching", "yang_yau", "improved"}),
+        (["gap", "sphere:r=1.5707963267948966"],
+         {"integral_A3", "threshold", "below_threshold", "convergence"}, None),
+    ):
+        code, doc = run_json(capsys, "--resolution", "16", "--samples", "1000", *argv)
+        assert code == 0 and doc["schema"] == 2, argv
+        if links is None:
+            assert doc.keys() == provenance | keys, argv
+            continue
+        assert doc.keys() == provenance | keys | {"links", "checks", "pass"}, argv
+        assert doc["links"].keys() == doc["checks"].keys() == links, argv
+        for link in doc["links"].values():
+            assert link.keys() == {"lhs", "rhs", "margin", "tol"}, argv
+        if "genus_report" in keys:
+            assert doc["genus_report"].keys() == genus, argv
+            assert [rep.keys() for rep in doc["tube_reports"]] == [side, side], argv
 
 
 def test_text_format_runs(capsys):

@@ -58,7 +58,7 @@ def test_sphere_round_trip_genus_zero(tmp_path):
     _, gs = _round_trip(tmp_path, GeodesicSphere(math.pi / 3), 64, 64)
     rep = genus_report(gs, gs.natural_grid())
     assert rep.genus == 0
-    assert rep.bound_lhs == 0.0
+    assert verify_sum_inequality(gs, gs.natural_grid()).links["theorem2"].lhs == 0.0
 
 
 def test_imported_metadata_matches_source(tmp_path):

@@ -87,3 +87,11 @@ def test_frame_normal_is_only_formed_in_curvature_at():
     callers = {(p.name, owner) for p in (ROOT / "src" / "s3pinch").glob("*.py")
                for owner in _callers(p, "cross4")}
     assert callers == {("geometry.py", "curvature_at")}
+
+
+def test_links_are_decided_only_by_the_verdict_rule():
+    # `Verdict.checks` turns every report's links into its verdict; another caller of
+    # `at_most` in the library would be a second place that decides a link.
+    callers = {(p.name, owner) for p in (ROOT / "src" / "s3pinch").glob("*.py")
+               for owner in _callers(p, "at_most")}
+    assert callers == {("pinch.py", "solves"), ("pinch.py", "checks")}

@@ -9,7 +9,7 @@ from s3pinch import (
     DegenerateMetric, FlatTorus, GenusDetectionFailure, GeodesicSphere,
     NotMinimal, NumericalFailure, PerturbedSphere, acot, clifford_torus, export_grid, f_pinch,
     f_series, eigen_report, gap_report, genus_report, hk_time_integral, import_surface,
-    make_grid, prop1_integrand, quadrature,
+    make_grid, prop1_integrand, quadrature, verify_sum_inequality,
 )
 from s3pinch.quadrature import NodeSums, _node_data, node_sums
 
@@ -137,9 +137,10 @@ def test_geodesic_sphere_report():
     rep = genus_report(surface, make_grid(surface, 64, 64))
     assert rep.genus == 0
     assert rep.integral_f < 1e-10
-    assert rep.bound_lhs == 0.0
+    links = verify_sum_inequality(surface, make_grid(surface, 64, 64)).links
+    assert links["theorem2"].lhs == 0.0
     assert rep.slack >= 0.0
-    assert rep.cubic_rhs == pytest.approx(0.0, abs=1e-10)
+    assert links["cubic"].rhs == pytest.approx(0.0, abs=1e-10)
 
 
 def test_flat_torus_strict_slack_frozen_value():
@@ -167,8 +168,8 @@ def test_theorem2_bound_on_random_perturbed_spheres():
 def test_cubic_bound_strict_for_tori():
     for a in (0.35, 0.5, 1 / math.sqrt(2), 0.8):
         surface = FlatTorus(a)
-        rep = genus_report(surface, make_grid(surface, 32, 32))
-        assert rep.cubic_rhs > rep.cubic_lhs, surface.name
+        cubic = verify_sum_inequality(surface, make_grid(surface, 32, 32)).links["cubic"]
+        assert cubic.rhs > cubic.lhs, surface.name
 
 
 def test_integral_f_consistent_with_series_route():
@@ -253,11 +254,11 @@ def test_eigen_report_rejects_a_planted_lambda1_above_the_bound():
     sphere = GeodesicSphere(1.0)
     grid = make_grid(sphere, 32, 32)
     rep = eigen_report(sphere, grid, 1e-8)
-    assert rep.lambda1_area == pytest.approx(8 * PI, rel=1e-14)
+    assert rep.links["pinching"].lhs == pytest.approx(8 * PI, rel=1e-14)
     assert rep.passed and rep.equality_discrepancy is None
     sphere.exact_lambda1 *= 1.0 + 1e-6
     planted = eigen_report(sphere, grid, 1e-8)
-    assert not planted.holds["pinching"] and not planted.passed
+    assert not planted.checks["pinching"] and not planted.passed
 
 
 def test_report_embeds_resolution_and_convergence():

@@ -101,10 +101,11 @@ def test_chain_equality_on_clifford():
     assert isinstance(cert, ChainReport) and all(cert.checks.values())
     r1, r2 = cert.tube_reports
     assert isinstance(r1, TubeReport) and isinstance(r2, TubeReport)
+    sum_bound, genus_bound = cert.links["sum_bound"], cert.links["genus_bound"]
     # Minimal equality case: the sum bound saturates at 2|M| = 4 pi^2.
-    assert r1.sum_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
-    assert r1.prop1_lhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)  # genus 1
-    assert r1.prop1_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
+    assert sum_bound.rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
+    assert genus_bound.lhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)  # genus 1
+    assert genus_bound.rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
     assert r1.hk_upper == pytest.approx(r1.exact_volume, rel=1e-12)
     assert r2.hk_upper == pytest.approx(r2.exact_volume, rel=1e-12)
     # Focal distance to the conjugate sheet is constant pi/4 from side 1.
@@ -118,13 +119,14 @@ def test_chain_on_spheres():
     for r in (math.pi / 4, math.pi / 2, 2.0):
         s = GeodesicSphere(r)
         grid = make_grid(s, 64, 64)
-        r1, r2 = verify_sum_inequality(s, grid).tube_reports
-        assert r1.prop1_lhs == 0.0  # genus 0
+        cert = verify_sum_inequality(s, grid)
+        r1, r2 = cert.tube_reports
+        assert cert.links["genus_bound"].lhs == 0.0  # genus 0
         assert r1.hk_upper == pytest.approx(r1.exact_volume, rel=1e-9)
         assert r2.hk_upper == pytest.approx(r2.exact_volume, rel=1e-9)
         assert r1.hk_upper + r2.hk_upper == pytest.approx(S3_VOLUME, rel=1e-9)
         # Both side bounds are tight, so the sum bound saturates exactly.
-        assert r1.sum_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-9)
+        assert cert.links["sum_bound"].rhs == pytest.approx(FOUR_PI_SQ, rel=1e-9)
 
 
 def test_chain_saturates_on_every_flat_torus():
@@ -133,19 +135,20 @@ def test_chain_saturates_on_every_flat_torus():
     for a in (0.3, 0.6, 0.9):
         s = FlatTorus(a)
         grid = make_grid(s, 32, 32)
-        r1, _ = verify_sum_inequality(s, grid).tube_reports
-        assert r1.sum_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
-        assert r1.prop1_rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
-        assert r1.prop1_lhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
+        links = verify_sum_inequality(s, grid).links
+        assert links["sum_bound"].rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
+        assert links["genus_bound"].rhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
+        assert links["genus_bound"].lhs == pytest.approx(FOUR_PI_SQ, rel=1e-12)
 
 
 def test_chain_on_perturbed_sphere():
     s = PerturbedSphere(math.pi / 3, 0.1, 2, 0)
     grid = make_grid(s, 64, 64)
-    r1, r2 = verify_sum_inequality(s, grid).tube_reports
-    assert r1.sum_rhs > FOUR_PI_SQ
-    assert r1.prop1_lhs == 0.0
-    assert r1.prop1_rhs > 0.0
+    cert = verify_sum_inequality(s, grid)
+    r1, r2 = cert.tube_reports
+    assert cert.links["sum_bound"].rhs > FOUR_PI_SQ
+    assert cert.links["genus_bound"].lhs == 0.0
+    assert cert.links["genus_bound"].rhs > 0.0
     # Sides partition S^3, so the two upper bounds overshoot the total.
     assert r1.hk_upper + r2.hk_upper >= S3_VOLUME - 1e-9
 
@@ -159,6 +162,11 @@ def test_chain_violation_on_doctored_report():
     assert cert.checks["sum_bound"] is False
     assert not all(cert.checks.values())
     assert len(cert.tube_reports) == 2  # every link is still reported
+    # Each verdict is its link's margin, rhs + tol*(1 + |rhs|) - lhs, against 0.
+    for name, link in cert.links.items():
+        assert link.margin == link.rhs + link.tol * (1.0 + abs(link.rhs)) - link.lhs, name
+        assert cert.checks[name] == (link.margin >= 0), name
+    assert cert.links["sum_bound"].margin < 0
 
 
 # ---------------------------------------------------------------------------
