@@ -16,7 +16,7 @@ import sys
 from . import catalog, gridio, pinch, quadrature, tube
 from .errors import DomainError, NumericalFailure, S3PinchError
 
-SCHEMA = 2
+SCHEMA = 3
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BOUND = 3
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="acceptance tolerance for inequality checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run every certificate for one surface")
+    p = sub.add_parser("check", help="genus bounds and the tube chain for one surface")
     p.add_argument("surface")
     p.set_defaults(func=_cmd_check)
 

@@ -89,7 +89,7 @@ class GridSurface(Surface):
             positions = np.array(np.broadcast_arrays(*positions))
         self.positions = X = np.asarray(positions, dtype=float)
         norms = np.linalg.norm(X, axis=0)
-        if np.any(np.abs(norms - 1.0) > ON_SPHERE_TOL):
+        if not np.all(np.abs(norms - 1.0) <= ON_SPHERE_TOL):  # a NaN fails; argmax names it
             bad = tuple(map(int, np.unravel_index(np.argmax(np.abs(norms - 1.0)), norms.shape)))
             raise OffSphere(f"sample at grid index {bad} has norm {float(norms[bad])!r}")
         self.domain_u = domain_u
@@ -209,8 +209,8 @@ def import_surface(path) -> GridSurface:
             raise FormatError(f"bad metadata token '{token}'")
         meta[key] = val
     try:
-        periodic_u = meta["periodic_u"] == "true"
-        periodic_v = meta["periodic_v"] == "true"
+        periodic_u, periodic_v = ({"true": True, "false": False}[meta[key]]
+                                  for key in ("periodic_u", "periodic_v"))
         du = [float(x) for x in meta["domain_u"].strip("[]").split(",")]
         dv = [float(x) for x in meta["domain_v"].strip("[]").split(",")]
     except (KeyError, ValueError) as exc:
@@ -230,13 +230,14 @@ def import_surface(path) -> GridSurface:
             row = next(itertools.islice(_content_lines(fh), 2 + bad[0], None)).strip()
         raise FormatError(f"non-finite value in data row {bad[0] + 1}: '{row}'")
 
-    nodes_u = np.unique(data[:, 0])
-    nodes_v = np.unique(data[:, 1])
-    nu, nv = len(nodes_u), len(nodes_v)
+    # Row-major, so nv is the length of the first run of equal u values.
+    nv = int(np.argmax(data[:, 0] != data[0, 0])) or len(data)
+    nu = -(-len(data) // nv)
     if nu * nv != len(data):
         raise FormatError(f"expected {nu}x{nv} rows, got {len(data)}")
-    if not np.allclose(data[:, 0], np.repeat(nodes_u, nv)) or \
-       not np.allclose(data[:, 1], np.tile(nodes_v, nu)):
+    nodes_u, nodes_v = data[::nv, 0].copy(), data[:nv, 1].copy()
+    if not np.array_equal(data[:, 0], np.repeat(nodes_u, nv)) or \
+       not np.array_equal(data[:, 1], np.tile(nodes_v, nu)):
         raise FormatError("rows are not row-major over a uniform grid")
 
     return GridSurface(nodes_u, nodes_v, data[:, 2:].T.reshape(4, nu, nv), tuple(du), tuple(dv),

@@ -323,25 +323,25 @@ def min_surface_maxA_bound(g: int, ambient_volume: float = S3_VOLUME) -> float:
     return f_inverse(min_surface_maxA_target(g, ambient_volume)).value
 
 
-def eigenvalue_bound_rhs(area: float, integral_f: float, ambient_volume: float = S3_VOLUME) -> float:
+def eigenvalue_bound_rhs(integral_f: float, *, ambient_volume: float = S3_VOLUME) -> float:
     """Right side of the first-eigenvalue bound on lambda_1 * Area.
 
     16*pi - 4*|M|/pi + (2/pi)*integral_f; reduces to 8*pi + (2/pi)*integral_f
     when the ambient is the unit 3-sphere.
     """
-    _require_finite(area, integral_f, ambient_volume)
-    if area < 0 or integral_f < 0:
-        raise DomainError("area and integral_f must be >= 0")
+    _require_finite(integral_f, ambient_volume)
+    if integral_f < 0:
+        raise DomainError("integral_f must be >= 0")
     if not (0.0 < ambient_volume <= S3_VOLUME):
         raise DomainError("ambient volume must lie in (0, 2*pi^2]")
     return 16.0 * math.pi - 4.0 * ambient_volume / math.pi + (2.0 / math.pi) * integral_f
 
 
-def eigenvalue_bounds(genus: int, area: float, integral_f: float) -> dict[str, float]:
+def eigenvalue_bounds(genus: int, integral_f: float) -> dict[str, float]:
     """Upper bounds on lambda_1 * Area in the unit 3-sphere: the pinching bound
     (eigenvalue_bound_rhs), Yang-Yau's 8*pi*(g+1) and the improved 8*pi*floor((g+3)/2)."""
     return {
-        "pinching": eigenvalue_bound_rhs(area, integral_f),
+        "pinching": eigenvalue_bound_rhs(integral_f),
         "yang_yau": 8.0 * math.pi * (genus + 1),
         "improved": 8.0 * math.pi * ((genus + 3) // 2),
     }

@@ -148,7 +148,7 @@ def node_sums(surface: Surface, grid: QuadratureGrid) -> NodeSums:
 
 @dataclass(frozen=True)
 class GenusReport:
-    """Quadrature summary of the genus bounds for one surface."""
+    """Quadrature summary of the genus bounds for one closed surface, minimal or not."""
 
     area: float
     total_K: float
@@ -160,18 +160,6 @@ class GenusReport:
     slack: float            # integral_f - 4 pi^2 genus
     convergence: float | None   # relative change of integral_f under the grid's nested half rule
     resolution: tuple[int, int]
-    # Gap-theorem certificate, populated when max |H| <= MINIMAL_H_TOL only.
-    gap_integral: float | None = None   # integral of |A|^3
-    gap_threshold: float = GAP_THRESHOLD
-    gap_below: bool | None = None
-
-
-def _below_gap(integral_absA3: float) -> bool:  # the gap theorem's side of a minimal surface
-    return integral_absA3 < GAP_THRESHOLD
-
-
-def _is_minimal(sums: NodeSums) -> bool:  # the gap theorem's premise, read off the nodes
-    return sums.max_H <= MINIMAL_H_TOL
 
 
 def _genus(sums: NodeSums) -> int:  # Gauss-Bonnet; GenusDetectionFailure unless chi is admissible
@@ -193,21 +181,19 @@ def genus_report(surface: Surface, grid: QuadratureGrid,
     """
     sums = node_sums(surface, grid) if nodes is None else nodes
     genus = _genus(sums)
-    gap = sums.integral_absA3 if _is_minimal(sums) else None
     return GenusReport(
         area=sums.area, total_K=sums.total_K, euler_char=2 - 2 * genus, genus=genus,
         integral_f=sums.integral_f, integral_A3=sums.integral_A3,
         bound_rhs=sums.integral_f, slack=sums.integral_f - FOUR_PI_SQ * genus,
         convergence=sums.convergence, resolution=grid.resolution,
-        gap_integral=gap, gap_below=None if gap is None else _below_gap(gap),
     )
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """L^3 gap-theorem certificate of a minimal surface; either side is a valid outcome."""
+    """The one L^3 gap-theorem certificate, of a minimal surface; either side is valid."""
 
-    integral_A3: float      # integral of |A|^3
+    integral_absA3: float   # integral of |A|^3, as in NodeSums
     threshold: float
     below_threshold: bool
     convergence: float | None   # as in GenusReport
@@ -216,9 +202,9 @@ class GapReport:
 def gap_report(surface: Surface, grid: QuadratureGrid) -> GapReport:
     """The integral of |A|^3 against GAP_THRESHOLD; NotMinimal if max |H| > MINIMAL_H_TOL."""
     sums = node_sums(surface, grid)
-    if not _is_minimal(sums):
+    if sums.max_H > MINIMAL_H_TOL:
         raise NotMinimal(f"max |H| = {sums.max_H:.3e} > {MINIMAL_H_TOL:g}")
-    return GapReport(sums.integral_absA3, GAP_THRESHOLD, _below_gap(sums.integral_absA3),
+    return GapReport(sums.integral_absA3, GAP_THRESHOLD, sums.integral_absA3 < GAP_THRESHOLD,
                      sums.convergence)
 
 
@@ -238,7 +224,7 @@ def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenRep
         raise NoSpectralData(f"no closed-form lambda_1 for '{surface.name}'")
     sums = node_sums(surface, grid)
     lam_area = surface.exact_lambda1 * surface.exact_area
-    bounds = eigenvalue_bounds(_genus(sums), sums.area, sums.integral_f)
+    bounds = eigenvalue_bounds(_genus(sums), sums.integral_f)
     note = None
     if isinstance(surface, FlatTorus):  # only the Clifford torus has a lambda_1
         note = (

@@ -46,7 +46,7 @@ def test_check_clifford_equalities(capsys):
         capsys, "--resolution", "32", "--samples", "20000",
         "check", f"torus:a={SQRT_HALF:.10f}")
     assert code == 0
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["genus_report"]["genus"] == 1
     assert abs(doc["genus_report"]["slack"]) < 1e-6
     assert all(doc["checks"].values())
@@ -241,7 +241,7 @@ def test_gap_equator_below_threshold(capsys):
     code, doc = run_json(capsys, "--resolution", "32", "gap",
                          f"sphere:r={math.pi / 2}")
     assert code == 0
-    assert doc["integral_A3"] == pytest.approx(0.0, abs=1e-10)
+    assert doc["integral_absA3"] == pytest.approx(0.0, abs=1e-10)
     assert doc["below_threshold"] is True
 
 
@@ -249,8 +249,8 @@ def test_gap_clifford_at_threshold(capsys):
     code, doc = run_json(capsys, "--resolution", "32", "gap",
                          f"torus:a={SQRT_HALF:.16f}")
     assert code == 0
-    # integral |A|^3 = 2sqrt(2) * 2pi^2 = threshold value 3*sqrt(2)*pi^2...
-    assert doc["integral_A3"] == pytest.approx(
+    # integral |A|^3 = 2sqrt(2) * 2pi^2 = 4sqrt(2)pi^2, above the threshold 3sqrt(2)pi^2
+    assert doc["integral_absA3"] == pytest.approx(
         2.0 ** 1.5 * 2.0 * math.pi ** 2, rel=1e-10)
     assert doc["threshold"] == pytest.approx(3.0 * math.sqrt(2.0) * math.pi ** 2)
 
@@ -495,19 +495,20 @@ def test_json_output_is_deterministic(capsys):
 def test_provenance_fields(capsys):
     _, doc = run_json(capsys, "--resolution", "16", "--samples", "10000",
                       "--seed", "9", "check", "sphere:r=1.0")
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["resolution"] == 16
     assert doc["seed"] == 9
     assert doc["samples"] == 10000
 
 
-def test_schema_2_documents_hold_exactly_their_keys(capsys, tmp_path):
-    # A link's inputs are printed once, in `links`: a copied field coming back fails here.
+def test_documents_hold_exactly_their_keys(capsys, tmp_path):
+    # Each value is printed once: a link's inputs in `links`, the gap certificate by `gap`
+    # alone. A copied field coming back fails here.
     export_grid(FlatTorus(0.6), 32, 32, tmp_path / "torus.csv")
     provenance = {"schema", "resolution", "seed", "samples", "command", "surface"}
     chain = {"theorem2", "cubic", "sum_bound", "genus_bound"}
     genus = {"area", "total_K", "euler_char", "genus", "integral_f", "integral_A3", "bound_rhs",
-             "slack", "convergence", "resolution", "gap_integral", "gap_threshold", "gap_below"}
+             "slack", "convergence", "resolution"}
     side = {"side", "hk_upper", "exact_volume", "mc_volume", "focal_min", "focal_max"}
     for argv, keys, links in (
         (["check", "torus:a=0.6"], {"genus_report", "tube_reports"},
@@ -516,10 +517,10 @@ def test_schema_2_documents_hold_exactly_their_keys(capsys, tmp_path):
         (["eigen", f"torus:a={SQRT_HALF:.16f}"],
          {"lambda1", "equality_discrepancy", "convergence"}, {"pinching", "yang_yau", "improved"}),
         (["gap", "sphere:r=1.5707963267948966"],
-         {"integral_A3", "threshold", "below_threshold", "convergence"}, None),
+         {"integral_absA3", "threshold", "below_threshold", "convergence"}, None),
     ):
         code, doc = run_json(capsys, "--resolution", "16", "--samples", "1000", *argv)
-        assert code == 0 and doc["schema"] == 2, argv
+        assert code == 0 and doc["schema"] == 3, argv
         if links is None:
             assert doc.keys() == provenance | keys, argv
             continue

@@ -355,6 +355,14 @@ def test_grid_surface_built_off_the_sphere_is_rejected():
     with pytest.raises(OffSphere, match=r"grid index \(\d+, \d+\) has norm 1\.00"):
         GridSurface(*nodes, tuple(1.001 * x for x in position), sphere.domain_u,
                     sphere.domain_v, sphere.periodic_u, sphere.periodic_v)
+    # A NaN position has a NaN norm, which no tolerance test may read as on the sphere.
+    torus = clifford_torus()
+    nodes = [quadrature._line_rule(*torus.domain_u, 32, True)[0]] * 2
+    position = np.array(np.broadcast_arrays(
+        *torus.point(nodes[0][:, None], nodes[1][None, :]).position))
+    position[2, 5, 7] = np.nan
+    with pytest.raises(OffSphere, match=r"grid index \(5, 7\) has norm nan"):
+        GridSurface(*nodes, position, torus.domain_u, torus.domain_v, True, True)
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -403,6 +411,16 @@ def test_bad_domain_metadata_rejected(tmp_path, domain):
     lines[0] = lines[0].rsplit("=", 1)[0] + "=" + domain
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="bad metadata line"):
+        import_surface(path)
+
+
+@pytest.mark.parametrize("flag", ["True", "yes", "1"])
+def test_periodic_flag_other_than_true_or_false_rejected(tmp_path, flag):
+    path, _ = _round_trip(tmp_path, FlatTorus(0.6), 32, 32)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("periodic_u=true", f"periodic_u={flag}")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"bad metadata line: '{flag}'"):
         import_surface(path)
 
 

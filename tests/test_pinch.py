@@ -344,23 +344,26 @@ class TestMaxABound:
 
 class TestEigenvalueBound:
     def test_sphere_ambient_reduces_to_8pi(self):
-        assert eigenvalue_bound_rhs(1.0, 0.0) == pytest.approx(8 * math.pi, abs=1e-14)
+        assert eigenvalue_bound_rhs(0.0) == pytest.approx(8 * math.pi, abs=1e-14)
 
     def test_clifford_value(self):
-        val = eigenvalue_bound_rhs(2 * math.pi ** 2, 4 * math.pi ** 2)
+        val = eigenvalue_bound_rhs(4 * math.pi ** 2)
         assert val == pytest.approx(16 * math.pi, abs=1e-12)
 
     def test_degenerate_ambient_rejected(self):
         with pytest.raises(DomainError):
-            eigenvalue_bound_rhs(1.0, 0.0, 0.0)
+            eigenvalue_bound_rhs(0.0, ambient_volume=0.0)
+        # The ambient volume is keyword-only: a call that passed the area first fails loudly.
+        with pytest.raises(TypeError):
+            eigenvalue_bound_rhs(1.0, 0.0)
 
     def test_bounds_by_genus(self):
         # Genus 0: all three bounds are 8*pi, the geodesic spheres' lambda_1 * Area.
-        assert eigenvalue_bounds(0, 1.0, 0.0) == pytest.approx(
+        assert eigenvalue_bounds(0, 0.0) == pytest.approx(
             {"pinching": 8 * math.pi, "yang_yau": 8 * math.pi, "improved": 8 * math.pi})
-        bounds = eigenvalue_bounds(2, 10.0, 5.0)
+        bounds = eigenvalue_bounds(2, 5.0)
         assert list(bounds) == ["pinching", "yang_yau", "improved"]
-        assert bounds["pinching"] == eigenvalue_bound_rhs(10.0, 5.0)
+        assert bounds["pinching"] == eigenvalue_bound_rhs(5.0)
         assert bounds["yang_yau"] == pytest.approx(24 * math.pi)
         assert bounds["improved"] == pytest.approx(16 * math.pi)
 

@@ -124,12 +124,13 @@ def test_gauss_bonnet_across_catalog():
 
 def test_clifford_equality_report():
     surface = clifford_torus()
-    rep = genus_report(surface, make_grid(surface, 64, 64))
+    grid = make_grid(surface, 64, 64)
+    rep, gap = genus_report(surface, grid), gap_report(surface, grid)
     assert rep.genus == 1
     assert rep.integral_f == pytest.approx(FOUR_PI_SQ, rel=1e-12)
     assert abs(rep.slack) < 1e-8
-    assert rep.gap_integral == pytest.approx(4 * math.sqrt(2) * PI ** 2, rel=1e-12)
-    assert rep.gap_below is False
+    assert gap.integral_absA3 == pytest.approx(4 * math.sqrt(2) * PI ** 2, rel=1e-12)
+    assert gap.below_threshold is False
 
 
 def test_geodesic_sphere_report():
@@ -203,24 +204,23 @@ def test_genus_detection_failure_on_tight_tolerance(monkeypatch):
         genus_report(surface, grid)
 
 
-def test_gap_report_matches_report_and_rejects_non_minimal():
+def test_gap_report_reads_integral_absA3_and_rejects_non_minimal():
     surface = clifford_torus()
     grid = make_grid(surface, 32, 32)
-    assert gap_report(surface, grid).integral_A3 == genus_report(surface, grid).gap_integral
+    assert gap_report(surface, grid).integral_absA3 == node_sums(surface, grid).integral_absA3
     with pytest.raises(NotMinimal):
         gap_report(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32))
 
 
-def test_genus_and_gap_reports_share_the_minimality_rule():
+def test_gap_report_reads_minimality_off_the_nodes():
     # Off the Clifford torus by 1e-8 (no closed-form lambda_1), but max |H| is far
     # below MINIMAL_H_TOL.
     surface = FlatTorus(1 / math.sqrt(2) + 1e-8)
     grid = make_grid(surface, 64, 64)
     assert surface.exact_lambda1 is None
-    rep, gap = genus_report(surface, grid), gap_report(surface, grid)
-    assert rep.gap_integral == gap.integral_A3 == pytest.approx(55.8309, abs=1e-4)
-    assert rep.gap_below is gap.below_threshold is False
-    assert genus_report(FlatTorus(0.6), make_grid(FlatTorus(0.6), 32, 32)).gap_integral is None
+    gap = gap_report(surface, grid)
+    assert gap.integral_absA3 == pytest.approx(55.8309, abs=1e-4)
+    assert gap.below_threshold is False
 
 
 def test_grid_reduction_memory_does_not_grow_with_resolution():
