@@ -70,11 +70,11 @@ def _check_resolution(nu: int, nv: int, periodic_u: bool, periodic_v: bool) -> N
 
 
 class GridSurface(Surface):
-    """Surface defined by position samples on a uniform parameter grid, kept with their
-    partials as (4, Nu, Nv) arrays; ``positions`` may be 4 components broadcasting to (Nu, Nv).
-    FormatError unless `_check_resolution` and `_line_weights` accept the nodes, which are then
-    `_line_rule`'s and tile their domain; then OffSphere unless every position's norm is within
-    ON_SPHERE_TOL of 1."""
+    """Surface defined by position samples on a uniform parameter grid: 4 components, each
+    broadcasting to (Nu, Nv), copied once into the (6, 4, Nu, Nv) array that holds their partials
+    (ValueError when built unless they fit). FormatError unless `_check_resolution` and
+    `_line_weights` accept the nodes, which are then `_line_rule`'s and tile their domain; then
+    OffSphere unless every position's norm is within ON_SPHERE_TOL of 1."""
 
     sampled = True
 
@@ -85,10 +85,11 @@ class GridSurface(Surface):
         _check_resolution(len(self.nodes_u), len(self.nodes_v), periodic_u, periodic_v)
         self._weights = (_line_weights(self.nodes_u, domain_u, periodic_u),
                          _line_weights(self.nodes_v, domain_v, periodic_v))
-        if not isinstance(positions, np.ndarray):  # an array is kept, not copied
-            positions = np.array(np.broadcast_arrays(*positions))
-        self.positions = X = np.asarray(positions, dtype=float)
-        norms = np.linalg.norm(X, axis=0)
+        self._fields = np.empty((6, 4, len(self.nodes_u), len(self.nodes_v)))
+        for x, component in zip(self._fields[0], positions, strict=True):
+            x[...] = component  # ValueError unless 4 components, each broadcasting to (Nu, Nv)
+        self.positions = self._fields[0]
+        norms = np.linalg.norm(self.positions, axis=0)
         if not np.all(np.abs(norms - 1.0) <= ON_SPHERE_TOL):  # a NaN fails; argmax names it
             bad = tuple(map(int, np.unravel_index(np.argmax(np.abs(norms - 1.0)), norms.shape)))
             raise OffSphere(f"sample at grid index {bad} has norm {float(norms[bad])!r}")
@@ -99,12 +100,10 @@ class GridSurface(Surface):
         self.name = name
 
         hu, hv = self.nodes_u[1] - self.nodes_u[0], self.nodes_v[1] - self.nodes_v[0]
-        fields = np.empty((5, *X.shape))  # du, dv, duu, duv, dvv, a component at a time
-        for x, (du, dv, duu, duv, dvv) in zip(X, fields.transpose(1, 0, 2, 3)):
+        for x, du, dv, duu, duv, dvv in self._fields.transpose(1, 0, 2, 3):
             _partials(x, 0, hu, periodic_u, (du, duu))
             _partials(x, 1, hv, periodic_v, (dv, dvv))
             _partials(du, 1, hv, periodic_v, (duv,))
-        self._fields = (X, *fields)
 
     def _indices(self, coords, nodes) -> np.ndarray:
         h = nodes[1] - nodes[0]
@@ -119,8 +118,8 @@ class GridSurface(Surface):
         j = self._indices(v, self.nodes_v)
         if i.shape[1:] == (1,) and np.array_equal(j, [np.arange(len(self.nodes_v))]) \
            and np.all(np.diff(i[:, 0]) == 1):  # whole u-rows, as a tile asks: slices
-            return SurfacePoint(*(x[:, i[0, 0]:i[-1, 0] + 1] for x in self._fields))
-        return SurfacePoint(*(x[:, i, j] for x in self._fields))
+            return SurfacePoint(*self._fields[:, :, i[0, 0]:i[-1, 0] + 1])
+        return SurfacePoint(*self._fields[:, :, i, j])
 
     def natural_grid(self) -> QuadratureGrid:
         """Quadrature grid over the sample nodes, weighted by `_line_weights`."""
@@ -153,20 +152,11 @@ def export_grid(surface: Surface, nu: int, nv: int, path) -> None:
     xu = _line_rule(*surface.domain_u, nu, surface.periodic_u, centres=True)[0]
     xv = _line_rule(*surface.domain_v, nv, surface.periodic_v, centres=True)[0]
     u_line = "%s,%s,%s,%s,%s,%s\n" * nv
-
-    def fmt_bool(b):
-        return "true" if b else "false"
-
-    def fmt(x):
-        return repr(float(x))
-
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# periodic_u={fmt_bool(surface.periodic_u)} "
-            f"periodic_v={fmt_bool(surface.periodic_v)} "
-            f"domain_u=[{fmt(surface.domain_u[0])},{fmt(surface.domain_u[1])}] "
-            f"domain_v=[{fmt(surface.domain_v[0])},{fmt(surface.domain_v[1])}]\n"
-        )
+        fh.write(f"# periodic_u={'true' if surface.periodic_u else 'false'} "
+                 f"periodic_v={'true' if surface.periodic_v else 'false'} "
+                 f"domain_u=[{float(surface.domain_u[0])!r},{float(surface.domain_u[1])!r}] "
+                 f"domain_v=[{float(surface.domain_v[0])!r},{float(surface.domain_v[1])!r}]\n")
         fh.write("u,v,x1,x2,x3,x4\n")
         step = max(1, NODE_TILE // 4 // nv)
         for i in range(0, nu, step):

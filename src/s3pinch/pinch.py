@@ -188,26 +188,26 @@ def f_inverse(y: float) -> RootResult:
     return solve_increasing(f_pinch, y)
 
 
+def _lemma3(t, s):  # the slack at k1 = s - t, k2 = s + t
+    return (2.0 * (t * t - 1.0) * np.arctan(t)
+            + (1.0 + s * s - t * t) * (np.arctan(s + t) - np.arctan(s - t)))
+
+
 @elementwise(_ORDERED)
 def lemma3_gap(k1, k2):
     """Slack of the two-variable curvature inequality, RHS - LHS >= 0.
 
     RHS - LHS = 2*(-1 + ((k2-k1)/2)^2)*atan((k2-k1)/2)
                 + (1 + k1*k2)*(atan(k2) - atan(k1)),
-    zero exactly when k1 = +-k2.
+    zero exactly when k1 = +-k2, where (k2-k1)/2 or (k1+k2)/2 is 0.
     """
-    t = (k2 - k1) / 2.0
-    return 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + k1 * k2) * (
-        np.arctan(k2) - np.arctan(k1)
-    )
+    return _lemma3((k2 - k1) / 2.0, (k1 + k2) / 2.0)
 
 
 @elementwise(_T_NONNEG)
 def lemma3_F(t, s):
     """Two-variable form of the gap: F(t, s) with k1 = s-t, k2 = s+t."""
-    return 2.0 * (t * t - 1.0) * np.arctan(t) + (1.0 + s * s - t * t) * (
-        np.arctan(s + t) - np.arctan(s - t)
-    )
+    return _lemma3(t, s)
 
 
 @elementwise(_T_NONNEG)

@@ -67,6 +67,8 @@ def test_imported_metadata_matches_source(tmp_path):
     assert gs.periodic_u and not gs.periodic_v
     assert gs.domain_u == pytest.approx(src.domain_u)
     assert gs.domain_v == pytest.approx(src.domain_v)
+    # The positions are copied once into the surface's own array: no view of the parse table.
+    assert gs.positions.flags.c_contiguous and gs.positions.base is gs._fields
 
 
 def test_point_only_defined_at_nodes(tmp_path):
@@ -363,6 +365,56 @@ def test_grid_surface_built_off_the_sphere_is_rejected():
     position[2, 5, 7] = np.nan
     with pytest.raises(OffSphere, match=r"grid index \(5, 7\) has norm nan"):
         GridSurface(*nodes, position, torus.domain_u, torus.domain_v, True, True)
+
+
+def _torus_nodes(n):
+    torus = clifford_torus()
+    return torus, [quadrature._line_rule(*torus.domain_u, n, True)[0]] * 2
+
+
+@pytest.mark.parametrize("positions", [
+    lambda nodes: clifford_torus().point(nodes[0][::2, None], nodes[1][None, ::2]).position,
+    lambda nodes: np.broadcast_to([[[1.0]], [[0.0]], [[0.0]]], (3, 32, 32)),
+    lambda nodes: [np.full((32, 32), 0.5)],
+], ids=["16x16-positions-on-32x32-nodes", "3-components", "1-component"])
+def test_grid_surface_refuses_positions_that_do_not_fit_its_nodes(positions):
+    # Refused when built, not by a numpy broadcast deep in node_sums. The unit vectors
+    # (1, 0, 0) pass the norm check, and so would one component 0.5 spread over all four.
+    torus, nodes = _torus_nodes(32)
+    with pytest.raises(ValueError):
+        GridSurface(*nodes, positions(nodes), torus.domain_u, torus.domain_v, True, True)
+
+
+def _delete_last_row(lines):
+    del lines[-1]
+
+
+def _swap_first_u_run_rows(lines):
+    lines[2], lines[3] = lines[3], lines[2]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_delete_last_row, "expected 32x32 rows, got 1023"),
+    (_swap_first_u_run_rows, "rows are not row-major over a uniform grid"),
+    (None, "grid nodes are not uniformly spaced"),
+], ids=["last-row-deleted", "first-u-run-rows-swapped", "code-built-nodes-nonuniform"])
+def test_format_error_names_its_fault(tmp_path, capsys, edit, message):
+    torus, nodes = _torus_nodes(32)
+    if edit is None:  # built in code: one u node moved by 1e-6
+        nodes[0] = nodes[0] + 1e-6 * (np.arange(32) == 5)
+        position = torus.point(nodes[0][:, None], nodes[1][None, :]).position
+        with pytest.raises(FormatError, match=message):
+            GridSurface(*nodes, position, torus.domain_u, torus.domain_v, True, True)
+        return
+    path, _ = _round_trip(tmp_path, torus, 32, 32)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=message):
+        import_surface(path)
+    assert main(["--samples", "0", "import", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_truncated_file_rejected(tmp_path):
