@@ -26,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 
 _R_MIN = 1e-3
 _EPS_CAP = 0.3
-_MINIMAL_TOL = 1e-9
 # Largest spherical-harmonic degree: `_legendre` takes one numpy step per degree.
 _L_MAX = 85
 
@@ -120,6 +119,7 @@ class FlatTorus(Surface):
 
     Flat (K = 0), principal curvatures {-a/b, b/a} with respect to the frame
     normal, which points into the solid torus {x1^2 + x2^2 < a^2} (side 1).
+    lambda_1 = 1/max(a, b)^2, the least nonzero j^2/a^2 + k^2/b^2 of a^2 du^2 + b^2 dv^2.
     a = 1/sqrt(2) is the Clifford torus, the minimal member of the family.
     """
 
@@ -132,8 +132,7 @@ class FlatTorus(Surface):
         self.exact_area = FOUR_PI_SQ * self.a * self.b
         self.exact_side_volumes = (S3_VOLUME * self.a ** 2, S3_VOLUME * self.b ** 2)
         self.exact_principal_curvatures = (-self.a / self.b, self.b / self.a)
-        if abs(self.a - 1.0 / SQRT2) < _MINIMAL_TOL:  # the Clifford torus
-            self.exact_lambda1 = 2.0
+        self.exact_lambda1 = 1.0 / max(self.a, self.b) ** 2
 
     def _chart(self, u, v, p, q):
         # p (e^{iu}, 0) + q (0, e^{iv}).
@@ -152,7 +151,7 @@ class FlatTorus(Surface):
 
 def clifford_torus() -> FlatTorus:
     """The minimal flat torus, a = 1/sqrt(2)."""
-    return FlatTorus(1.0 / math.sqrt(2.0))
+    return FlatTorus(1.0 / SQRT2)
 
 
 def _legendre(l: int, k: int, s, c):

@@ -7,10 +7,10 @@ Exit codes: 0 ok, 2 usage/parse error, 3 bound violation, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 from . import catalog, gridio, pinch, quadrature, tube
@@ -26,29 +26,20 @@ MAX_RESOLUTION = 2048
 MAX_SAMPLES = 10 ** 9
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit(args, command: str, fields: dict) -> None:
     doc = {"schema": SCHEMA, "resolution": args.resolution, "seed": args.seed,
            "samples": args.samples, "command": command, **fields}
-    if args.format == "json":
-        print(json.dumps(_jsonable(doc), sort_keys=True, indent=2))
+    if args.format == "json":  # reports are dataclasses: `vars` gives their fields in order
+        print(json.dumps(doc, default=vars, sort_keys=True, indent=2))
     elif args.format == "csv":  # `main` allows csv only for row documents (sweep-tori)
         cols = list(doc["rows"][0])
         print(",".join(cols))
         for row in doc["rows"]:
-            print(",".join(repr(_jsonable(row[c])) for c in cols))
-    else:
-        for key, val in sorted(_jsonable(doc).items()):
+            print(",".join(repr(row[c]) for c in cols))
+    else:  # nested reports as dicts in field order, tuples as lists
+        for key, val in sorted(json.loads(json.dumps(doc, default=vars)).items()):
             print(f"{key}: {val}")
+    sys.stdout.flush()  # a closed stdout fails here, inside main's try, not at exit
 
 
 def _certify(args, command: str, surface, report, **fields) -> int:
@@ -188,6 +179,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
+    except BrokenPipeError as exc:  # the exit flush then writes to devnull: no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(f"error: cannot write output: {exc}", EXIT_USAGE)
     except NumericalFailure as exc:
         return _fail(f"numerical failure: {exc}", EXIT_NUMERIC)
     except (S3PinchError, ValueError) as exc:

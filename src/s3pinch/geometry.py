@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric
+from .pinch import SQRT2
 
 # Relative threshold below which E*G - F^2 counts as degenerate.
 DEGENERACY_RTOL = 1e-12
@@ -133,7 +134,7 @@ def curvature_at(p: SurfacePoint, row0: int = 0) -> CurvatureData:
         k1=k1,
         k2=k2,
         H=mean,
-        traceless_norm=(k2 - k1) / np.sqrt(2.0),
+        traceless_norm=(k2 - k1) / SQRT2,
         gauss_K=1.0 + k1 * k2,
         area_element=np.broadcast_to(sqrt_det, k1.shape),
     )

@@ -214,7 +214,7 @@ class EigenReport(Verdict):
 
     lambda1: float
     links: dict[str, Link]
-    equality_discrepancy: str | None    # set for the Clifford torus only
+    equality_discrepancy: str | None    # set for a minimal flat torus only
     convergence: float | None           # as in GenusReport
 
 
@@ -225,13 +225,11 @@ def eigen_report(surface: Surface, grid: QuadratureGrid, tol: float) -> EigenRep
     sums = node_sums(surface, grid)
     lam_area = surface.exact_lambda1 * surface.exact_area
     bounds = eigenvalue_bounds(_genus(sums), sums.integral_f)
-    note = None
-    if isinstance(surface, FlatTorus):  # only the Clifford torus has a lambda_1
-        note = (
-            "stated equality case not observed: lambda1*Area = 4*pi^2 "
-            f"({lam_area:.6f}) differs from the bound 16*pi ({bounds['pinching']:.6f}); "
-            "both values reported, equality not asserted"
-        )
+    note = (
+        "stated equality case not observed: lambda1*Area = 4*pi^2 "
+        f"({lam_area:.6f}) differs from the bound 16*pi ({bounds['pinching']:.6f}); "
+        "both values reported, equality not asserted"
+    ) if isinstance(surface, FlatTorus) and sums.max_H <= MINIMAL_H_TOL else None  # gap's rule
     links = {name: Link(lam_area, bound, tol) for name, bound in bounds.items()}
     return EigenReport(surface.exact_lambda1, links, note, sums.convergence)
 

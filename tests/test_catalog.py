@@ -51,14 +51,24 @@ def test_parametrization_lands_on_sphere():
 
 
 def test_minimality_flags():
-    # Of the flat tori only the minimal one, the Clifford torus, has a closed-form lambda_1.
-    assert clifford_torus().exact_lambda1 == 2.0
-    assert FlatTorus(0.6).exact_lambda1 is None
-    assert FlatTorus(1 / math.sqrt(2) + 1e-8).exact_lambda1 is None
+    # Every flat torus has lambda_1 = 1/max(a, b)^2; minimality is read off |H| alone.
+    assert clifford_torus().exact_lambda1 == pytest.approx(2.0, rel=1e-15)
+    assert FlatTorus(0.6).exact_lambda1 == pytest.approx(1 / 0.64, rel=1e-15)
+    a = 1 / math.sqrt(2) + 1e-8
+    assert FlatTorus(a).exact_lambda1 == pytest.approx(1 / a ** 2, rel=1e-15)
     for surface in (clifford_torus(), GeodesicSphere(PI / 2)):
         u, v = random_params(surface, 500)
         cd = curvature_at(surface.point(u, v))
         assert np.all(np.abs(cd.H) < 1e-9)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.6, 1 / math.sqrt(2), 0.9])
+def test_flat_torus_lambda1_is_the_least_product_eigenvalue(a):
+    # a^2 du^2 + b^2 dv^2 on [0, 2 pi)^2 has eigenvalues j^2/a^2 + k^2/b^2, b^2 = 1 - a^2.
+    least = min(j * j / a ** 2 + k * k / (1 - a ** 2)
+                for j in range(3) for k in range(3) if (j, k) != (0, 0))
+    assert least == pytest.approx(1 / max(a ** 2, 1 - a ** 2), rel=1e-15)
+    assert FlatTorus(a).exact_lambda1 == pytest.approx(least, rel=1e-15)
 
 
 def test_geodesic_sphere_exact_data():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -24,6 +25,13 @@ from s3pinch.catalog import FlatTorus, GeodesicSphere, clifford_torus
 from s3pinch.pinch import SOLVE_TOL, RootResult, beta_target, min_surface_maxA_bound
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def child_env(**extra):
+    """os.environ with this checkout's src first on PYTHONPATH, for `python -m s3pinch.cli`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def run(capsys, *argv):
@@ -293,7 +301,15 @@ def test_eigen_planted_lambda1_above_bound_exits_3(capsys, monkeypatch):
 
 def test_eigen_no_spectral_data_exits_2(capsys):
     assert main(["eigen", "psphere:r=1.0,eps=0.1,l=2,m=0"]) == 2
-    assert main(["eigen", "torus:a=0.6"]) == 2
+    assert main(["--resolution", "32", "eigen", "torus:a=0.6"]) == 0  # lambda_1 = 1/max(a, b)^2
+
+
+def test_eigen_on_a_non_minimal_flat_torus(capsys):
+    # lambda_1 * Area = (1/b^2) * 4 pi^2 a b = 3 pi^2 at a = 0.6, b = 0.8; |H| > 0, so no note.
+    code, doc = run_json(capsys, "--resolution", "32", "eigen", "torus:a=0.6")
+    assert code == 0
+    assert doc["links"]["pinching"]["lhs"] == pytest.approx(3.0 * math.pi ** 2, rel=1e-14)
+    assert doc["equality_discrepancy"] is None
 
 
 @pytest.mark.parametrize("command, spec", [
@@ -466,9 +482,7 @@ def test_check_memory_does_not_grow_with_resolution():
     # A fresh 1024^2 check; the node field and the samples stream in tiles.
     # A child's ru_maxrss starts at the resident size of the process that
     # forked it, so the check is started from a small interpreter, not pytest.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = child_env()
     spawn = ("import resource, subprocess, sys; "
              "rc = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL); "
              "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
@@ -537,6 +551,36 @@ def test_text_format_runs(capsys):
     code, out = run(capsys, "--format", "text", "solve", "finv", "1.0")
     assert code == 0
     assert "value" in out
+
+
+def test_text_format_sorts_top_level_keys_and_keeps_field_order_below(capsys):
+    code, out = run(capsys, "--format", "text", "--resolution", "16", "--samples", "1000",
+                    "check", "torus:a=0.6")
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert list(lines) == sorted(lines)
+    links = ast.literal_eval(lines["links"])
+    assert list(links) == ["theorem2", "cubic", "sum_bound", "genus_bound", "hk_side1",
+                           "hk_side2"]
+    assert all(list(link) == ["lhs", "rhs", "tol", "margin"] for link in links.values())
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["--resolution", "16", "--samples", "1000", "check", "sphere:r=1.0"],
+    ["--format", "text", "solve", "finv", "1.0"],
+], ids=["check", "text-solve"])
+def test_closed_stdout_ends_in_one_line(argv, buffered):
+    # The reader is gone before the report is written: one stderr line and exit 2, both
+    # when print writes at once and when the write waits for `_emit`'s flush.
+    env = child_env(PYTHONUNBUFFERED="" if buffered else "1")
+    with subprocess.Popen([sys.executable, "-m", "s3pinch.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

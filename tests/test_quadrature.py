@@ -213,11 +213,11 @@ def test_gap_report_reads_integral_absA3_and_rejects_non_minimal():
 
 
 def test_gap_report_reads_minimality_off_the_nodes():
-    # Off the Clifford torus by 1e-8 (no closed-form lambda_1), but max |H| is far
-    # below MINIMAL_H_TOL.
+    # Off the Clifford torus by 1e-8, but max |H| is far below MINIMAL_H_TOL: eigen_report
+    # takes it as the minimal torus by the same rule, so its note is set.
     surface = FlatTorus(1 / math.sqrt(2) + 1e-8)
     grid = make_grid(surface, 64, 64)
-    assert surface.exact_lambda1 is None
+    assert "not asserted" in eigen_report(surface, grid, 1e-8).equality_discrepancy
     gap = gap_report(surface, grid)
     assert gap.integral_absA3 == pytest.approx(55.8309, abs=1e-4)
     assert gap.below_threshold is False
